@@ -152,9 +152,6 @@ class Taxonomy:
             return len(parts) == 2 and all(p in self for p in parts)
         return False
 
-    def to_records(self) -> list[dict]:
-        return [{"id": e.id, "name": e.name, "description": e.description} for e in self.entries]
-
 
 def load_taxonomy(source: str) -> Taxonomy:
     """Parse a structured list of ``{id, name, description}`` records.
@@ -186,10 +183,6 @@ def load_taxonomy_path(path: str | Path) -> Taxonomy:
     except OSError as exc:
         raise IoFailureError(f"cannot read taxonomy {path}: {exc}") from exc
     return load_taxonomy(text)
-
-
-def serialize_taxonomy(taxonomy: Taxonomy) -> str:
-    return yaml.safe_dump(taxonomy.to_records(), sort_keys=False)
 
 
 def default_taxonomy() -> Taxonomy:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 from typing import Sequence
 
-from .backends.base import Backend, GenerationRequest
+from .backends.base import Backend
 from .backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from .domain import (
     RunConfig,
@@ -24,7 +24,7 @@ from .domain import (
     validate_config,
 )
 from .errors import NotFittedError
-from .evaluation import exact_match, extract_final_answer
+from .evaluation import EvaluationRecord, Evaluator
 from .optimizer import RunResult, run
 
 
@@ -140,25 +140,21 @@ class PromptOptimizer:
 
     # ---------------------------------------------------------- predict
 
+    def _evaluate(self, items: Sequence[TaskItem]) -> list[EvaluationRecord]:
+        """Run the optimized prompt over items on a fresh evaluator, so the
+        fitted run's metric counters stay untouched."""
+        check_is_fitted(self)
+        evaluator = Evaluator(self.backend_, max_parallel=self.max_parallel)
+        return evaluator.evaluate_items(self.best_prompt_, items, charged=False)
+
     def predict(self, questions: Sequence[str]) -> list[str | None]:
         """Answer questions with the optimized prompt; None where the
         output does not parse."""
-        check_is_fitted(self)
-        answers: list[str | None] = []
-        for question in questions:
-            raw = self.backend_.generate(GenerationRequest(
-                role="base",
-                messages=(("system", self.best_prompt_), ("user", question)),
-            ))
-            extracted, _err = extract_final_answer(raw)
-            answers.append(extracted)
-        return answers
+        items = [TaskItem(id=str(i), question=q, gold_answer="")
+                 for i, q in enumerate(questions)]
+        return [record.extracted_answer for record in self._evaluate(items)]
 
     def score(self, items: Sequence[TaskItem]) -> float:
         """Mean exact-match accuracy of the optimized prompt on items."""
-        check_is_fitted(self)
-        predictions = self.predict([item.question for item in items])
-        total = sum(
-            exact_match(pred, item.gold_answer) if pred is not None else 0
-            for pred, item in zip(predictions, items))
-        return total / len(items) if items else 0.0
+        records = self._evaluate(items)
+        return sum(r.score for r in records) / len(items) if items else 0.0

@@ -187,9 +187,12 @@ class Evaluator:
     the charged/uncharged metric-call counters the ledger is checked
     against.
 
-    Items are dispatched concurrently up to ``max_parallel`` and merged in
-    item order, so downstream state is schedule-independent.  All
-    randomness is drawn by the coordinator before dispatch.
+    Every evaluation goes through one dispatch path: the call's
+    (prompt, item) grid is generated concurrently up to ``max_parallel``,
+    merged slot-then-item (prompt order, then item order), scored, and
+    counted as charged or uncharged, so downstream state is
+    schedule-independent.  All randomness is drawn by the coordinator
+    before dispatch.
     """
 
     def __init__(self, backend: Backend, max_parallel: int = 1):
@@ -198,57 +201,34 @@ class Evaluator:
         self.metric_calls = 0
         self.uncharged_calls = 0
 
-    def _generate(self, prompt_text: str, item: "TaskItem") -> str:
-        request = GenerationRequest(
-            role="base",
-            messages=(("system", prompt_text), ("user", item.question)),
-        )
-        return self.backend.generate(request)
-
-    def evaluate_items(self, prompt_text: str, items: Sequence["TaskItem"], *,
-                       charged: bool) -> list[EvaluationRecord]:
-        if self.max_parallel > 1 and len(items) > 1:
+    def _dispatch(self, tasks: Sequence[tuple[str, "TaskItem"]], *,
+                  charged: bool) -> list[EvaluationRecord]:
+        requests = [GenerationRequest(role="base",
+                                      messages=(("system", text), ("user", item.question)))
+                    for text, item in tasks]
+        if self.max_parallel > 1 and len(requests) > 1:
             with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-                raws = list(pool.map(lambda it: self._generate(prompt_text, it), items))
+                raws = list(pool.map(self.backend.generate, requests))
         else:
-            raws = [self._generate(prompt_text, it) for it in items]
-        if charged:
-            self.metric_calls += len(items)
-        else:
-            self.uncharged_calls += len(items)
-        return [score_output(item, raw) for item, raw in zip(items, raws)]
-
-    def evaluate_minibatch(self, prompt_text: str, dataset: "TaskDataset",
-                           minibatch: Sequence[str], *, charged: bool) -> MinibatchResult:
-        items = [dataset.item(i) for i in minibatch]
-        records = self.evaluate_items(prompt_text, items, charged=charged)
-        return MinibatchResult(minibatch=tuple(minibatch), records=tuple(records))
-
-    def evaluate_batches(self, prompt_texts: Sequence[str], dataset: "TaskDataset",
-                         minibatch: Sequence[str], *, charged: bool) -> list[MinibatchResult]:
-        """Evaluate several candidates on the same minibatch; the flattened
-        (candidate, item) grid shares one worker pool and results merge in
-        slot-then-item order."""
-        items = [dataset.item(i) for i in minibatch]
-        tasks = [(text, item) for text in prompt_texts for item in items]
-        if self.max_parallel > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-                raws = list(pool.map(lambda t: self._generate(t[0], t[1]), tasks))
-        else:
-            raws = [self._generate(text, item) for text, item in tasks]
+            raws = [self.backend.generate(request) for request in requests]
         if charged:
             self.metric_calls += len(tasks)
         else:
             self.uncharged_calls += len(tasks)
-        results = []
-        n = len(items)
-        for s, text in enumerate(prompt_texts):
-            records = tuple(score_output(item, raw)
-                            for item, raw in zip(items, raws[s * n:(s + 1) * n]))
-            results.append(MinibatchResult(minibatch=tuple(minibatch), records=records))
-        return results
+        return [score_output(item, raw) for (_text, item), raw in zip(tasks, raws)]
 
-    def evaluate_val(self, prompt_text: str, dataset: "TaskDataset", *,
-                     charged: bool) -> tuple[list[int], list[EvaluationRecord]]:
-        records = self.evaluate_items(prompt_text, dataset.val, charged=charged)
-        return [r.score for r in records], records
+    def evaluate_items(self, prompt_text: str, items: Sequence["TaskItem"], *,
+                       charged: bool) -> list[EvaluationRecord]:
+        return self._dispatch([(prompt_text, item) for item in items], charged=charged)
+
+    def evaluate_batches(self, prompt_texts: Sequence[str], dataset: "TaskDataset",
+                         minibatch: Sequence[str], *, charged: bool) -> list[MinibatchResult]:
+        """Evaluate several candidates on the same minibatch; the flattened
+        (candidate, item) grid shares one dispatch."""
+        items = [dataset.item(i) for i in minibatch]
+        records = self._dispatch(
+            [(text, item) for text in prompt_texts for item in items], charged=charged)
+        n = len(items)
+        return [MinibatchResult(minibatch=tuple(minibatch),
+                                records=tuple(records[s * n:(s + 1) * n]))
+                for s in range(len(prompt_texts))]

@@ -3,6 +3,15 @@ explore-exploit scheduler (restart + epsilon-greedy hypothesis slotting),
 minibatch verification, winner selection, validation gating, and exact
 budget accounting.
 
+Each branch (K labeled hypotheses, a blank restart, a single-mutation
+fallback) only generates its rewrites, sets its charge and writes its log
+lines.  All three then share one verify-gate-record path,
+``OptimizationRun._verify``: every rewrite is scored on the round's
+minibatch in one evaluator dispatch, the strictly best gain over the parent
+wins (ties go to the lowest slot), the winner is gated on the full
+validation set, and every proposal is recorded in the round outcome and
+the trace tree.
+
 Budget semantics: the ledger charges per round exactly what the procedure
 meters, branch by branch (b+1 restart, b*K hypotheses, b fallback, plus
 the validation size when a winner is gated).  Parent-baseline minibatch
@@ -229,7 +238,8 @@ class OptimizationRun:
         # pre-loop) and enters the pool unconditionally.
         seed_candidate = self._new_candidate(
             seed_prompt, parent_id=None, label="seed", origin="seed", iteration=0)
-        scores, _ = self.evaluator.evaluate_val(seed_prompt, dataset, charged=False)
+        scores = [r.score for r in self.evaluator.evaluate_items(
+            seed_prompt, dataset.val, charged=False)]
         seed_candidate = seed_candidate.with_val_scores(scores)
         self.candidates[seed_candidate.id] = seed_candidate
         self.best = seed_candidate
@@ -264,7 +274,8 @@ class OptimizationRun:
     def _val_gate(self, outcome: RoundOutcome, candidate: PromptCandidate) -> PromptCandidate:
         """Score the branch winner on the full validation set, then apply
         the two independent gates: pool insertion and best-so-far."""
-        scores, _ = self.evaluator.evaluate_val(candidate.text, self.dataset, charged=True)
+        scores = [r.score for r in self.evaluator.evaluate_items(
+            candidate.text, self.dataset.val, charged=True)]
         scored = candidate.with_val_scores(scores)
         self.candidates[scored.id] = scored
         outcome.charge += len(self.dataset.val)
@@ -275,8 +286,59 @@ class OptimizationRun:
             outcome.best_updated = True
         return scored
 
-    def _delta_val_pp(self, candidate: PromptCandidate, parent: PromptCandidate) -> float:
-        return round((candidate.val_accuracy - parent.val_accuracy) * 100, 6)
+    def _verify(self, outcome: RoundOutcome, parent: PromptCandidate,
+                parent_result: MinibatchResult, slots: list[tuple[int, str, str, str]],
+                *, restart: bool = False) -> ProposalRecord | None:
+        """Score every ``(slot, label, origin, text)`` rewrite on the round's
+        minibatch, val-gate the strictly best gain over the parent (so a
+        single proposal wins iff its gain is positive), and record every
+        proposal.  A restart candidate starts a new root.  Returns the
+        winner's record, or None."""
+        minibatch = parent_result.minibatch
+        results = self.evaluator.evaluate_batches(
+            [text for *_, text in slots], self.dataset, minibatch, charged=True)
+        parent_id = None if restart else parent.id
+        winner: ProposalRecord | None = None
+        for (slot, label, origin, text), result in zip(slots, results):
+            candidate = self._new_candidate(
+                text, parent_id=parent_id, label=label, origin=origin,
+                iteration=outcome.iteration)
+            record = ProposalRecord(
+                slot=slot, label=label, origin=origin, candidate_id=candidate.id,
+                delta_minibatch=delta_acc(result, parent_result),
+                correct_count=result.correct_count)
+            outcome.proposals.append(record)
+            if record.delta_minibatch > (winner.delta_minibatch if winner else 0):
+                winner = record
+
+        if winner is not None:
+            self._val_gate(outcome, self.candidates[winner.candidate_id])
+            outcome.winner = winner.candidate_id
+            outcome.winner_label = winner.label
+
+        for record in outcome.proposals:
+            accepted = record is winner
+            candidate = self.candidates[record.candidate_id]
+            self.trace.record_proposal(
+                TraceEdge(
+                    from_id=parent_id,
+                    to_id=candidate.id,
+                    label=record.label,
+                    delta_minibatch=record.delta_minibatch,
+                    status=ACCEPTED if accepted else REJECTED,
+                    iteration=outcome.iteration,
+                    origin=record.origin,
+                    delta_val_pp=(round((candidate.val_accuracy - parent.val_accuracy) * 100, 6)
+                                  if accepted else None),
+                ),
+                TraceNode(
+                    id=candidate.id,
+                    val_accuracy=candidate.val_accuracy,
+                    correct_count=record.correct_count,
+                    minibatch_size=len(minibatch),
+                ),
+            )
+        return winner
 
     # ------------------------------------------------------------- rounds
 
@@ -315,29 +377,31 @@ class OptimizationRun:
         minibatch = sample_minibatch(self.dataset.train, self.config.b, self.rng_minibatch)
         # Parent baseline on this round's minibatch: needed for failure
         # collection and accuracy gains, unmetered by the budget.
-        parent_result = self.evaluator.evaluate_minibatch(
-            parent.text, self.dataset, minibatch, charged=False)
+        parent_result = self.evaluator.evaluate_batches(
+            [parent.text], self.dataset, minibatch, charged=False)[0]
+        outcome = RoundOutcome(iteration=iteration, branch=BRANCH_FALLBACK,
+                               parent_id=parent.id, minibatch=tuple(minibatch), charge=0)
 
         if self.config.mode == "baseline":
-            return self._fallback_round(iteration, parent, parent_result, minibatch, log=[])
-
-        if self.rng_branch.random() < self.config.p:
-            return self._restart_round(iteration, parent, parent_result, minibatch)
-
-        failures = collect_failures(parent_result, self.dataset)
-        if not failures:
-            return self._fallback_round(
-                iteration, parent, parent_result, minibatch, log=[NO_FAILURES_LOG])
-        return self._hypothesis_round(iteration, parent, parent_result, minibatch, failures)
+            self._fallback_round(outcome, parent, parent_result)
+        elif self.rng_branch.random() < self.config.p:
+            self._restart_round(outcome, parent, parent_result)
+        else:
+            failures = collect_failures(parent_result, self.dataset)
+            if failures:
+                self._hypothesis_round(outcome, parent, parent_result, failures)
+            else:
+                outcome.log.append(NO_FAILURES_LOG)
+                self._fallback_round(outcome, parent, parent_result)
+        return outcome
 
     # --------------------------------------------------- hypothesis branch
 
-    def _hypothesis_round(self, iteration: int, parent: PromptCandidate,
-                          parent_result: MinibatchResult, minibatch: list[str],
-                          failures: list[FailureCase]) -> RoundOutcome:
+    def _hypothesis_round(self, outcome: RoundOutcome, parent: PromptCandidate,
+                          parent_result: MinibatchResult,
+                          failures: list[FailureCase]) -> None:
         cfg = self.config
-        outcome = RoundOutcome(iteration=iteration, branch=BRANCH_HYPOTHESES,
-                               parent_id=parent.id, minibatch=tuple(minibatch), charge=0)
+        outcome.branch = BRANCH_HYPOTHESES
         origins = ["free" if self.rng_slots.random() < cfg.epsilon else "heuristic"
                    for _ in range(cfg.K)]
         prompt = render_hypothesis_prompt(
@@ -362,85 +426,37 @@ class OptimizationRun:
             # Only the generation calls were spent; nothing is metered.
             outcome.branch = BRANCH_SKIPPED
             outcome.log.append("Hypothesis agent returned no parseable blocks. Round skipped.")
-            return outcome
+            return
         if malformed:
             outcome.log.append(f"{malformed} malformed hypothesis block(s) dropped.")
 
-        slots: list[tuple[int, Hypothesis, str]] = []
+        slots: list[tuple[int, str, str, str]] = []
         for slot, hyp in enumerate(hypotheses):
             try:
                 rewrite = self._reflect(parent.text, hyp, failures)
             except EmptyRewriteError:
                 outcome.log.append(f"Slot {slot} produced an empty rewrite; slot dropped.")
                 continue
-            slots.append((slot, hyp, rewrite))
+            slots.append((slot, hyp.label, hyp.origin, rewrite))
 
         # The round charges b*K regardless of dropped slots.
         outcome.charge = cfg.b * cfg.K
-        results = self.evaluator.evaluate_batches(
-            [text for _, _, text in slots], self.dataset, minibatch, charged=True)
-
-        winner_idx: int | None = None
-        best_delta = 0
-        proposals: list[tuple[ProposalRecord, PromptCandidate, Hypothesis]] = []
-        for (slot, hyp, text), result in zip(slots, results):
-            delta = delta_acc(result, parent_result)
-            candidate = self._new_candidate(
-                text, parent_id=parent.id, label=hyp.label, origin=hyp.origin,
-                iteration=iteration)
-            record = ProposalRecord(
-                slot=slot, label=hyp.label, origin=hyp.origin,
-                candidate_id=candidate.id, delta_minibatch=delta,
-                correct_count=result.correct_count)
-            proposals.append((record, candidate, hyp))
-            outcome.proposals.append(record)
-            if delta > best_delta:  # strict: ties break toward the lowest slot
-                best_delta = delta
-                winner_idx = len(proposals) - 1
-
-        if winner_idx is None:
+        winner = self._verify(outcome, parent, parent_result, slots)
+        if winner is None:
             outcome.log.append(NO_WINNER_LOG)
         else:
-            record, candidate, hyp = proposals[winner_idx]
-            scored = self._val_gate(outcome, candidate)
-            outcome.winner = scored.id
-            outcome.winner_label = record.label
-            outcome.log.append(f"Selected slot {record.slot} [{record.label}]. Candidate accepted.")
-
-        for i, (record, candidate, _hyp) in enumerate(proposals):
-            accepted = i == winner_idx
-            candidate = self.candidates[candidate.id]
-            self.trace.record_proposal(
-                TraceEdge(
-                    from_id=parent.id,
-                    to_id=candidate.id,
-                    label=record.label,
-                    delta_minibatch=record.delta_minibatch,
-                    status=ACCEPTED if accepted else REJECTED,
-                    iteration=iteration,
-                    origin=record.origin,
-                    delta_val_pp=self._delta_val_pp(candidate, parent) if accepted else None,
-                ),
-                TraceNode(
-                    id=candidate.id,
-                    val_accuracy=candidate.val_accuracy,
-                    correct_count=record.correct_count,
-                    minibatch_size=len(minibatch),
-                ),
-            )
-        return outcome
+            outcome.log.append(f"Selected slot {winner.slot} [{winner.label}]. Candidate accepted.")
 
     # ------------------------------------------------------ restart branch
 
-    def _restart_round(self, iteration: int, parent: PromptCandidate,
-                       parent_result: MinibatchResult, minibatch: list[str]) -> RoundOutcome:
+    def _restart_round(self, outcome: RoundOutcome, parent: PromptCandidate,
+                       parent_result: MinibatchResult) -> None:
         cfg = self.config
-        outcome = RoundOutcome(iteration=iteration, branch=BRANCH_RESTART,
-                               parent_id=parent.id, minibatch=tuple(minibatch), charge=0)
+        outcome.branch = BRANCH_RESTART
         if cfg.restart_lookahead_cap == 0:
             outcome.branch = BRANCH_SKIPPED
             outcome.log.append("Restart look-ahead cap is 0; branch skipped.")
-            return outcome
+            return
 
         # Blank-prompt look-ahead: run one training item, hand the raw
         # output to the reflection agent conditioned on nothing, and repeat
@@ -470,112 +486,41 @@ class OptimizationRun:
             outcome.charge = 1 if outcome.lookahead_steps else 0
             outcome.log.append(
                 f"Restart look-ahead did not converge within {cfg.restart_lookahead_cap} steps; round skipped.")
-            return outcome
+            return
 
-        result = self.evaluator.evaluate_minibatch(
-            restart_text, self.dataset, minibatch, charged=True)
         outcome.charge = cfg.b + 1
-        delta = delta_acc(result, parent_result)
-        candidate = self._new_candidate(
-            restart_text, parent_id=None, label=BLANK_LABEL, origin="blank",
-            iteration=iteration)
-        record = ProposalRecord(
-            slot=0, label=BLANK_LABEL, origin="blank", candidate_id=candidate.id,
-            delta_minibatch=delta, correct_count=result.correct_count)
-        outcome.proposals.append(record)
-
-        accepted = delta > 0
-        if accepted:
-            scored = self._val_gate(outcome, candidate)
-            outcome.winner = scored.id
-            outcome.winner_label = BLANK_LABEL
+        winner = self._verify(outcome, parent, parent_result,
+                              [(0, BLANK_LABEL, "blank", restart_text)], restart=True)
+        if winner is not None:
             outcome.log.append("Random restart accepted.")
         else:
             outcome.log.append(RESTART_NO_IMPROVEMENT_LOG)
             outcome.log.append(
                 f"Validation: old_sum={float(parent_result.correct_count):.4f}, "
-                f"new_sum={float(result.correct_count):.4f}, improved=False.")
-
-        candidate = self.candidates[candidate.id]
-        self.trace.record_proposal(
-            TraceEdge(
-                from_id=None,
-                to_id=candidate.id,
-                label=BLANK_LABEL,
-                delta_minibatch=delta,
-                status=ACCEPTED if accepted else REJECTED,
-                iteration=iteration,
-                origin="blank",
-                delta_val_pp=self._delta_val_pp(candidate, parent) if accepted else None,
-            ),
-            TraceNode(
-                id=candidate.id,
-                val_accuracy=candidate.val_accuracy,
-                correct_count=result.correct_count,
-                minibatch_size=len(minibatch),
-            ),
-        )
-        return outcome
+                f"new_sum={float(outcome.proposals[0].correct_count):.4f}, improved=False.")
 
     # ----------------------------------------------------- fallback branch
 
-    def _fallback_round(self, iteration: int, parent: PromptCandidate,
-                        parent_result: MinibatchResult, minibatch: list[str],
-                        log: list[str]) -> RoundOutcome:
-        cfg = self.config
-        outcome = RoundOutcome(iteration=iteration, branch=BRANCH_FALLBACK,
-                               parent_id=parent.id, minibatch=tuple(minibatch),
-                               charge=0, log=list(log))
+    def _fallback_round(self, outcome: RoundOutcome, parent: PromptCandidate,
+                        parent_result: MinibatchResult) -> None:
+        outcome.branch = BRANCH_FALLBACK
         failures = collect_failures(parent_result, self.dataset)
         try:
             text = self._reflect(parent.text, FALLBACK_DIRECTIVE, failures)
         except EmptyRewriteError:
             outcome.branch = BRANCH_SKIPPED
             outcome.log.append("Fallback mutation produced an empty rewrite. Round skipped.")
-            return outcome
+            return
 
-        result = self.evaluator.evaluate_minibatch(text, self.dataset, minibatch, charged=True)
-        outcome.charge = cfg.b
-        delta = delta_acc(result, parent_result)
-        candidate = self._new_candidate(
-            text, parent_id=parent.id, label=UNLABELED, origin="fallback",
-            iteration=iteration)
-        record = ProposalRecord(
-            slot=0, label=UNLABELED, origin="fallback", candidate_id=candidate.id,
-            delta_minibatch=delta, correct_count=result.correct_count)
-        outcome.proposals.append(record)
-
-        accepted = result.correct_count > parent_result.correct_count
-        if accepted:
-            scored = self._val_gate(outcome, candidate)
-            outcome.winner = scored.id
-            outcome.winner_label = UNLABELED
+        outcome.charge = self.config.b
+        winner = self._verify(outcome, parent, parent_result,
+                              [(0, UNLABELED, "fallback", text)])
+        if winner is not None:
             outcome.log.append("Single-mutation candidate accepted.")
         else:
             outcome.log.append(
-                f"Candidate subsample score {float(result.correct_count):.1f} is not better "
-                f"than old score {float(parent_result.correct_count):.1f}, skipping.")
-
-        candidate = self.candidates[candidate.id]
-        self.trace.record_proposal(
-            TraceEdge(
-                from_id=parent.id,
-                to_id=candidate.id,
-                label=UNLABELED,
-                delta_minibatch=delta,
-                status=ACCEPTED if accepted else REJECTED,
-                iteration=iteration,
-                origin="fallback",
-                delta_val_pp=self._delta_val_pp(candidate, parent) if accepted else None,
-            ),
-            TraceNode(
-                id=candidate.id,
-                val_accuracy=candidate.val_accuracy,
-                correct_count=result.correct_count,
-                minibatch_size=len(minibatch),
-            ),
-        )
-        return outcome
+                f"Candidate subsample score {float(outcome.proposals[0].correct_count):.1f} "
+                f"is not better than old score {float(parent_result.correct_count):.1f}, skipping.")
 
     # ---------------------------------------------------------- artifacts
 

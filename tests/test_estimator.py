@@ -58,10 +58,15 @@ def test_predict_and_score(defective_seed):
     dataset = make_synthetic_dataset(30, 20)
     opt = PromptOptimizer(budget=200, rng_seed=0, b=6, max_parallel=1)
     opt.fit(dataset, defective_seed)
+    counters = (opt.result_.evaluator.metric_calls, opt.result_.evaluator.uncharged_calls)
     answers = opt.predict([item.question for item in dataset.val[:5]])
     assert len(answers) == 5
     accuracy = opt.score(dataset.val)
     assert accuracy == pytest.approx(opt.best_score_, abs=0.001)
+    opt.set_params(max_parallel=4)
+    assert opt.predict([item.question for item in dataset.val[:5]]) == answers
+    assert opt.score(dataset.val) == accuracy
+    assert (opt.result_.evaluator.metric_calls, opt.result_.evaluator.uncharged_calls) == counters
 
 
 def test_custom_world_threaded_through():

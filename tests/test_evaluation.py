@@ -211,8 +211,8 @@ def test_evaluator_parallel_matches_sequential(world, dataset_50, taxonomy, defe
     seq = Evaluator(backend, max_parallel=1)
     par = Evaluator(backend, max_parallel=4)
     ids = [item.id for item in dataset_50.train[:8]]
-    a = seq.evaluate_minibatch(defective_seed, dataset_50, ids, charged=True)
-    b = par.evaluate_minibatch(defective_seed, dataset_50, ids, charged=True)
+    a = seq.evaluate_batches([defective_seed], dataset_50, ids, charged=True)[0]
+    b = par.evaluate_batches([defective_seed], dataset_50, ids, charged=True)[0]
     assert a == b
     assert seq.metric_calls == par.metric_calls == 8
 
@@ -220,7 +220,7 @@ def test_evaluator_parallel_matches_sequential(world, dataset_50, taxonomy, defe
 def test_evaluator_charged_vs_uncharged(synthetic_backend, dataset_50, defective_seed):
     ev = Evaluator(synthetic_backend, max_parallel=1)
     ids = [item.id for item in dataset_50.train[:4]]
-    ev.evaluate_minibatch(defective_seed, dataset_50, ids, charged=False)
+    ev.evaluate_batches([defective_seed], dataset_50, ids, charged=False)
     assert (ev.metric_calls, ev.uncharged_calls) == (0, 4)
-    ev.evaluate_minibatch(defective_seed, dataset_50, ids, charged=True)
+    ev.evaluate_batches([defective_seed], dataset_50, ids, charged=True)
     assert (ev.metric_calls, ev.uncharged_calls) == (4, 4)

@@ -4,7 +4,17 @@ from collections import Counter
 import pytest
 
 from vistaopt.errors import EmptyPoolError, LengthMismatchError
-from vistaopt.pareto import ParetoPool, dominates, non_dominated_subset
+from vistaopt.pareto import ParetoPool, dominates
+
+
+def non_dominated_subset(vectors: dict[int, tuple[int, ...]]) -> set[int]:
+    """Brute-force non-dominated set; the O(n^2 * len) oracle used to
+    cross-check pool behaviour on small instances."""
+    keep = set()
+    for cid, vec in vectors.items():
+        if not any(dominates(other_vec, vec) for oid, other_vec in vectors.items() if oid != cid):
+            keep.add(cid)
+    return keep
 
 
 def pool_of(*vectors):

@@ -18,12 +18,19 @@ the validation size when a winner is gated).  Parent-baseline minibatch
 evaluations and look-ahead probes beyond the first are unmetered overhead
 and are tracked on the evaluator's uncharged counter instead, so the
 charged counter and the ledger stay exactly equal.
+
+Run directory: ``config.json`` is written when the run starts and
+``rounds/NNN.json`` as each round ends.  The state snapshots (``trace.*``,
+``pool.json``, ``ledger.json``) are written once, when the loop ends or when
+a round raises; ``best_prompt.txt`` only on success.  Every file is written
+to a temporary file in the same directory and renamed over its target.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,6 +198,19 @@ def _json_dump(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``: a crash leaves the old file or the new one, never a
+    truncated one, and no temporary file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class OptimizationRun:
     """Single-coordinator run state; the only concurrency is inside the
     evaluator, which merges in fixed order, so every run is a pure function
@@ -343,23 +363,31 @@ class OptimizationRun:
     # ------------------------------------------------------------- rounds
 
     def run(self) -> RunResult:
-        self._write_static_artifacts()
+        if self.out_dir is not None:
+            (self.out_dir / "rounds").mkdir(parents=True, exist_ok=True)
+            _write_atomic(self.out_dir / "config.json", _json_dump(self.resolved_config))
         stalled = 0
         iteration = 0
-        while self.ledger.remaining > 0:
-            iteration += 1
-            outcome = self.step_round(iteration)
-            self.outcomes.append(outcome)
-            self.ledger.add(iteration, outcome.branch, outcome.charge)
-            self._write_round_artifacts(outcome)
-            if outcome.charge == 0:
-                stalled += 1
-                if stalled >= MAX_STALLED_ROUNDS:
-                    logger.warning("stopping after %d zero-charge rounds", stalled)
-                    break
-            else:
-                stalled = 0
-        self._write_final_artifacts()
+        try:
+            while self.ledger.remaining > 0:
+                iteration += 1
+                outcome = self.step_round(iteration)
+                self.outcomes.append(outcome)
+                self.ledger.add(iteration, outcome.branch, outcome.charge)
+                if self.out_dir is not None:
+                    _write_atomic(self.out_dir / "rounds" / f"{iteration:03d}.json",
+                                  _json_dump(outcome.to_dict()))
+                if outcome.charge == 0:
+                    stalled += 1
+                    if stalled >= MAX_STALLED_ROUNDS:
+                        logger.warning("stopping after %d zero-charge rounds", stalled)
+                        break
+                else:
+                    stalled = 0
+        finally:
+            self._write_snapshots()
+        if self.out_dir is not None:
+            _write_atomic(self.out_dir / "best_prompt.txt", self.best.text)
         return RunResult(
             best=self.best,
             pool=self.pool,
@@ -524,37 +552,16 @@ class OptimizationRun:
 
     # ---------------------------------------------------------- artifacts
 
-    def _write_static_artifacts(self) -> None:
+    def _write_snapshots(self) -> None:
+        """Write the trace, pool and ledger once per run.  The trace and pool
+        change only after a round's evaluations succeed, so after a round
+        raises these hold the state of the rounds before it."""
         if self.out_dir is None:
             return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / "rounds").mkdir(exist_ok=True)
-        (self.out_dir / "config.json").write_text(
-            _json_dump(self.resolved_config), encoding="utf-8")
-        self._write_state()
-
-    def _write_round_artifacts(self, outcome: RoundOutcome) -> None:
-        if self.out_dir is None:
-            return
-        path = self.out_dir / "rounds" / f"{outcome.iteration:03d}.json"
-        path.write_text(_json_dump(outcome.to_dict()), encoding="utf-8")
-        self._write_state()
-
-    def _write_state(self) -> None:
-        (self.out_dir / "trace.json").write_text(
-            export_tree(self.trace, "json"), encoding="utf-8")
-        (self.out_dir / "trace.dot").write_text(
-            export_tree(self.trace, "dot"), encoding="utf-8")
-        (self.out_dir / "pool.json").write_text(
-            _json_dump(self.pool.snapshot()), encoding="utf-8")
-        (self.out_dir / "ledger.json").write_text(
-            _json_dump(self.ledger.to_dict()), encoding="utf-8")
-
-    def _write_final_artifacts(self) -> None:
-        if self.out_dir is None:
-            return
-        self._write_state()
-        (self.out_dir / "best_prompt.txt").write_text(self.best.text, encoding="utf-8")
+        _write_atomic(self.out_dir / "trace.json", export_tree(self.trace, "json"))
+        _write_atomic(self.out_dir / "trace.dot", export_tree(self.trace, "dot"))
+        _write_atomic(self.out_dir / "pool.json", _json_dump(self.pool.snapshot()))
+        _write_atomic(self.out_dir / "ledger.json", _json_dump(self.ledger.to_dict()))
 
 
 def run(

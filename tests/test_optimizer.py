@@ -4,18 +4,21 @@ import re
 
 import pytest
 
+from vistaopt import optimizer
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import RunConfig, default_taxonomy
-from vistaopt.errors import NonPositiveBetaError
+from vistaopt.errors import NonPositiveBetaError, TransportFailureError
 from vistaopt.optimizer import (
     BRANCH_FALLBACK,
     BRANCH_HYPOTHESES,
     BRANCH_RESTART,
     BRANCH_SKIPPED,
     MAX_STALLED_ROUNDS,
+    OptimizationRun,
     expected_rounds,
     run,
 )
+from vistaopt.trace import import_tree
 
 TAGS = ("cot_field_ordering", "task_instruction_clarity", "reasoning_strategy")
 
@@ -428,6 +431,71 @@ def test_fallback_empty_rewrite_skips(small_dataset):
     first = result.outcomes[0]
     assert first.branch == BRANCH_SKIPPED and first.charge == 0
     assert any("empty rewrite" in line.lower() for line in first.log)
+
+
+# ---------------------------------------------------------- run directory
+
+class FailingBackend:
+    """Wraps a backend and raises a transport failure on its Nth generation."""
+
+    def __init__(self, inner, fail_at):
+        self.inner = inner
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def generate(self, request):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise TransportFailureError(f"injected failure on generation {self.calls}")
+        return self.inner.generate(request)
+
+
+@pytest.mark.parametrize("fail_at", [250, 600])
+def test_crash_leaves_state_of_completed_rounds(fail_at, dataset_50, taxonomy, defective_seed,
+                                                tmp_path):
+    backend = FailingBackend(SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 0),
+                             fail_at=fail_at)
+    out_dir = tmp_path / "run"
+    engine = OptimizationRun(RunConfig(rng_seed=0, budget=5000, max_parallel=1), dataset_50,
+                             taxonomy, backend, defective_seed, out_dir=out_dir)
+    with pytest.raises(TransportFailureError):
+        engine.run()
+    completed = engine.outcomes
+    assert len(completed) >= 3, "the failure should land a few rounds into the run"
+
+    round_files = sorted((out_dir / "rounds").iterdir())
+    assert [f.name for f in round_files] == [f"{o.iteration:03d}.json" for o in completed]
+    rounds = [json.loads(f.read_text(encoding="utf-8")) for f in round_files]
+    assert rounds == [o.to_dict() for o in completed]
+
+    ledger = json.loads((out_dir / "ledger.json").read_text(encoding="utf-8"))
+    assert ledger == engine.ledger.to_dict()
+    assert [(c["iteration"], c["branch"], c["amount"]) for c in ledger["charges"]] == [
+        (r["iteration"], r["branch"], r["charge"]) for r in rounds]
+
+    assert import_tree((out_dir / "trace.json").read_text(encoding="utf-8")) == engine.trace
+    pool = json.loads((out_dir / "pool.json").read_text(encoding="utf-8"))
+    assert pool["members"] == list(engine.pool.members)
+    # No best_prompt.txt after a failure, and no temporary file left behind.
+    assert sorted(f.name for f in out_dir.iterdir()) == [
+        "config.json", "ledger.json", "pool.json", "rounds", "trace.dot", "trace.json"]
+
+
+def test_persisted_run_exports_trace_once_per_format(dataset_50, taxonomy, defective_seed,
+                                                      tmp_path, monkeypatch):
+    export_tree = optimizer.export_tree
+    formats = []
+    monkeypatch.setattr(optimizer, "export_tree",
+                        lambda tree, fmt: formats.append(fmt) or export_tree(tree, fmt))
+    rounds = []
+    for budget in (200, 800):
+        formats.clear()
+        backend = SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 0)
+        result = run(RunConfig(rng_seed=0, budget=budget), dataset_50, taxonomy, backend,
+                     defective_seed, out_dir=tmp_path / f"b{budget}")
+        assert sorted(formats) == ["dot", "json"], f"budget {budget}: {formats}"
+        rounds.append(len(result.outcomes))
+    assert rounds[0] < rounds[1]
 
 
 # --------------------------------------------------------- expected rounds

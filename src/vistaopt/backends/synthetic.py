@@ -14,7 +14,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 from ..domain import (
@@ -119,21 +119,11 @@ class SyntheticWorldConfig:
         return self.free_prior.get(self.true_root_cause, 0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "true_root_cause": self.true_root_cause,
-            "base_accuracy": self.base_accuracy,
-            "feature_weights": dict(self.feature_weights),
-            "free_prior": dict(self.free_prior),
-            "heuristic_success": self.heuristic_success,
-            "fix_table": dict(self.fix_table),
-            "extra_features": dict(self.extra_features),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SyntheticWorldConfig":
-        known = {"true_root_cause", "base_accuracy", "feature_weights", "free_prior",
-                 "heuristic_success", "fix_table", "extra_features"}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def extract_features(prompt_text: str,

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from .artifacts import write_atomic
 from .backends.http import HttpBackend
 from .backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from .domain import (
@@ -126,7 +127,7 @@ def cmd_export_trace(run_dir: str, fmt: str = "dot") -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     out_path = Path(run_dir) / f"trace.{fmt}"
-    out_path.write_text(text, encoding="utf-8")
+    write_atomic(out_path, text)
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -39,7 +39,6 @@ UNCLASSIFIED_ID = "unclassified_custom"
 FREE_PREFIX = "free:"
 
 VALID_MODES = ("vista", "baseline")
-VALID_ORIGINS = ("heuristic", "free", "blank")
 
 
 def slugify(text: str) -> str:
@@ -59,20 +58,12 @@ def strip_free_prefix(label: str) -> str:
 
 
 @dataclass(frozen=True)
-class CreatedBy:
-    """Annotation of the edge that produced a candidate."""
-
-    label: str
-    origin: str  # heuristic | free | blank | fallback | seed
-
-
-@dataclass(frozen=True)
 class PromptCandidate:
+    """A prompt and its validation scores; its parent, label, origin and
+    round live only on the trace edge whose ``to_id`` is its id."""
+
     id: int
     text: str
-    iteration: int
-    parent_id: int | None = None
-    created_by: CreatedBy = CreatedBy(label="seed", origin="seed")
     val_scores: tuple[int, ...] | None = None
     val_accuracy: float | None = None
 
@@ -84,8 +75,6 @@ class PromptCandidate:
         if self.val_scores is not None:
             if self.val_accuracy != sum(self.val_scores) / len(self.val_scores):
                 raise ValueError(f"candidate {self.id}: val_accuracy out of sync")
-        if (self.parent_id is None) != (self.created_by.origin in ("seed", "blank")):
-            raise ValueError(f"candidate {self.id}: parent/lineage mismatch")
 
 
 @dataclass(frozen=True)
@@ -94,15 +83,6 @@ class Hypothesis:
     description: str
     fix: str
     origin: str  # heuristic | free | blank
-
-    def validate(self, taxonomy: "Taxonomy") -> None:
-        if self.origin not in VALID_ORIGINS:
-            raise ValueError(f"unknown hypothesis origin {self.origin!r}")
-        if self.origin == "heuristic" and not taxonomy.covers(self.label):
-            raise ValueError(f"heuristic label {self.label!r} not in taxonomy")
-        if self.origin == "blank":
-            if self.label != BLANK_LABEL or self.description != RESTART_DIRECTIVE:
-                raise ValueError("blank hypothesis must be the fixed restart directive")
 
 
 H_BLANK = Hypothesis(
@@ -273,16 +253,13 @@ class RunConfig:
     max_parallel: int = 4
     restart_lookahead_cap: int = 5
 
-    FIELDS = ("K", "p", "epsilon", "b", "budget", "rng_seed", "mode",
-              "max_parallel", "restart_lookahead_cap")
-
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs = {name: data[name] for name in cls.FIELDS if name in data}
-        return cls(**kwargs)
+        """Keys that are not fields (config-file sections) are ignored."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def validate_config(cfg: RunConfig, ds: TaskDataset) -> RunConfig:

@@ -10,6 +10,7 @@ this package depending on scikit-learn itself.
 from __future__ import annotations
 
 import inspect
+from dataclasses import fields
 from typing import Sequence
 
 from .backends.base import Backend
@@ -102,10 +103,7 @@ class PromptOptimizer:
     def _resolve(self, dataset: TaskDataset | None):
         dataset = dataset if dataset is not None else make_synthetic_dataset()
         taxonomy = self.taxonomy if self.taxonomy is not None else default_taxonomy()
-        config = RunConfig(
-            K=self.K, p=self.p, epsilon=self.epsilon, b=self.b, budget=self.budget,
-            rng_seed=self.rng_seed, mode=self.mode, max_parallel=self.max_parallel,
-            restart_lookahead_cap=self.restart_lookahead_cap)
+        config = RunConfig(**{f.name: getattr(self, f.name) for f in fields(RunConfig)})
         backend = self.backend
         if backend is None:
             world = self.world if self.world is not None else SyntheticWorldConfig()

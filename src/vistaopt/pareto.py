@@ -44,12 +44,6 @@ class ParetoPool:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, candidate_id: int) -> bool:
-        return candidate_id in self.score_matrix
-
-    def scores(self, candidate_id: int) -> tuple[int, ...]:
-        return self.score_matrix[candidate_id]
-
     def _check_length(self, vector: tuple[int, ...]) -> None:
         if len(vector) != self.vector_length:
             raise LengthMismatchError(

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .artifacts import json_text, write_atomic
 from .domain import Taxonomy
 from .errors import MissingArtifactsError, MissingTraceError
 from .trace import ACCEPTED, SemanticTraceTree, detect_oscillation, import_tree
@@ -49,8 +50,10 @@ def load_trace(run_dir: str | Path) -> SemanticTraceTree:
 def build_best_curve(run_dir: Path) -> list[tuple[int, float]]:
     ledger = _load_json(run_dir, "ledger.json")
     trace = load_trace(run_dir)
-    rounds_dir = run_dir / "rounds"
-    round_files = sorted(rounds_dir.glob("*.json")) if rounds_dir.is_dir() else []
+    # Order on the iteration, not the file name: 1000.json sorts before 101.json.
+    outcomes = sorted((json.loads(path.read_text(encoding="utf-8"))
+                       for path in (run_dir / "rounds").glob("*.json")),
+                      key=lambda outcome: outcome["iteration"])
 
     seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
     best = seed_accuracy
@@ -61,8 +64,7 @@ def build_best_curve(run_dir: Path) -> list[tuple[int, float]]:
         nid: node.val_accuracy for nid, node in trace.nodes.items()
         if node.val_accuracy is not None
     }
-    for path in round_files:
-        outcome = json.loads(path.read_text(encoding="utf-8"))
+    for outcome in outcomes:
         amount = charges.get(outcome["iteration"], 0)
         if amount == 0:
             continue
@@ -123,13 +125,10 @@ def write_report(run_dir: str | Path, bundle: ReportBundle) -> None:
     lines = ["metric_calls,best_val_accuracy"]
     for calls, acc in bundle.best_curve:
         lines.append(f"{calls},{acc:.6f}")
-    (run_dir / "report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(run_dir / "report.csv", "\n".join(lines) + "\n")
 
     lines = ["label,accepted,rejected"]
     for label, counts in bundle.attribution_histogram.items():
         lines.append(f"{label},{counts['accepted']},{counts['rejected']}")
-    (run_dir / "attribution.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    (run_dir / "oscillations.json").write_text(
-        json.dumps(bundle.oscillation_events, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_atomic(run_dir / "attribution.csv", "\n".join(lines) + "\n")
+    write_atomic(run_dir / "oscillations.json", json_text(bundle.oscillation_events))

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .artifacts import json_text
 from .errors import DuplicateNodeError, UnknownNodeError, UnknownParentError
 
 ACCEPTED = "accepted"
@@ -111,9 +112,6 @@ class SemanticTraceTree:
         path.reverse()
         return path
 
-    def depth(self, node_id: int) -> int:
-        return len(self.trajectory(node_id))
-
     def accepted_edges(self) -> list[TraceEdge]:
         return [e for e in self.edges if e.status == ACCEPTED]
 
@@ -122,15 +120,7 @@ class SemanticTraceTree:
     def to_dict(self) -> dict:
         return {
             "root": self.root,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "val_accuracy": n.val_accuracy,
-                    "correct_count": n.correct_count,
-                    "minibatch_size": n.minibatch_size,
-                }
-                for n in self.nodes.values()
-            ],
+            "nodes": [dict(vars(n)) for n in self.nodes.values()],
             "edges": [
                 {
                     "from": e.from_id,
@@ -150,12 +140,7 @@ class SemanticTraceTree:
     def from_dict(cls, data: dict) -> "SemanticTraceTree":
         tree = cls(root=data["root"])
         for n in data["nodes"]:
-            tree.nodes[n["id"]] = TraceNode(
-                id=n["id"],
-                val_accuracy=n.get("val_accuracy"),
-                correct_count=n.get("correct_count"),
-                minibatch_size=n.get("minibatch_size"),
-            )
+            tree.nodes[n["id"]] = TraceNode(**n)
         for e in data["edges"]:
             tree.edges.append(
                 TraceEdge(
@@ -170,12 +155,6 @@ class SemanticTraceTree:
                 )
             )
         return tree
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SemanticTraceTree):
-            return NotImplemented
-        return (self.root == other.root and self.nodes == other.nodes
-                and self.edges == other.edges)
 
     def to_dot(self) -> str:
         lines = ["digraph trace {", "  rankdir=TB;", "  node [shape=circle];"]
@@ -199,7 +178,7 @@ class SemanticTraceTree:
 
 def export_tree(tree: SemanticTraceTree, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(tree.to_dict())
     if fmt == "dot":
         return tree.to_dot()
     raise ValueError(f"unknown export format {fmt!r}")

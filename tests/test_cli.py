@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -158,3 +159,38 @@ def test_report_best_curve_zero_budget(tmp_path, config_file):
     lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) == 2  # header plus the single seed point
     assert lines[1] == "0,0.240000"
+
+
+def test_report_orders_rounds_past_999(tmp_path):
+    # 1,092 rounds: rounds/1000.json sorts before rounds/101.json by name.
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({
+        "K": 1, "p": 0.3, "b": 1, "budget": 1400, "rng_seed": 0, "max_parallel": 1,
+        "dataset": {"synthetic": {"train_size": 20, "val_size": 4}},
+    }), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["optimize", str(cfg), "defective", str(out)]) == EXIT_OK
+    assert (out / "rounds" / "1000.json").is_file()
+    assert main(["report", str(out)]) == EXIT_OK
+    ledger = json.loads((out / "ledger.json").read_text())
+    cumulative = list(accumulate(c["amount"] for c in ledger["charges"] if c["amount"]))
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [0] + cumulative
+
+
+def test_export_trace_failed_write_leaves_trace_intact(config_file, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    before = (out / "trace.json").read_bytes()
+    write_text = Path.write_text
+
+    def crash_halfway(path, data, *args, **kwargs):
+        write_text(path, data[:len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", crash_halfway)
+    with pytest.raises(OSError):
+        main(["export-trace", str(out), "--format", "json"])
+    monkeypatch.undo()
+    assert (out / "trace.json").read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

@@ -4,7 +4,6 @@ import pytest
 import yaml
 
 from vistaopt.domain import (
-    CreatedBy,
     PromptCandidate,
     RunConfig,
     TaskDataset,
@@ -147,21 +146,9 @@ def test_run_config_round_trip():
 
 
 def test_candidate_val_accuracy_consistency():
-    cand = PromptCandidate(id=0, text="p", iteration=0).with_val_scores([1, 0, 1, 1])
+    cand = PromptCandidate(id=0, text="p").with_val_scores([1, 0, 1, 1])
     assert cand.val_accuracy == 3 / 4
     cand.check_invariants()
-
-
-def test_candidate_lineage_invariant():
-    root = PromptCandidate(id=0, text="p", iteration=0)
-    root.check_invariants()
-    child = PromptCandidate(id=1, text="c", iteration=1, parent_id=0,
-                            created_by=CreatedBy("cot_field_ordering", "heuristic"))
-    child.check_invariants()
-    orphan = PromptCandidate(id=2, text="c", iteration=1, parent_id=None,
-                             created_by=CreatedBy("cot_field_ordering", "heuristic"))
-    with pytest.raises(ValueError):
-        orphan.check_invariants()
 
 
 def test_dataset_rejects_duplicates_within_split():

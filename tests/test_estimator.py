@@ -1,6 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
+from vistaopt import estimator
 from vistaopt.backends.synthetic import SyntheticWorldConfig, make_synthetic_dataset
+from vistaopt.domain import RunConfig
 from vistaopt.errors import NotFittedError
 from vistaopt.estimator import PromptOptimizer
 
@@ -11,6 +15,25 @@ def test_get_params_round_trip():
     assert params["K"] == 4 and params["p"] == 0.3 and params["budget"] == 50
     clone = PromptOptimizer(**params)
     assert clone.get_params() == params
+
+
+def test_every_run_config_field_is_an_estimator_parameter(monkeypatch):
+    params = PromptOptimizer().get_params()
+    assert {f.name for f in fields(RunConfig)} <= set(params)
+
+    class Captured(Exception):
+        pass
+
+    def capture(config, **_):
+        raise Captured(config)
+
+    monkeypatch.setattr(estimator, "run", capture)
+    opt = PromptOptimizer(K=2, p=0.5, epsilon=0.3, b=4, budget=40, rng_seed=3,
+                          mode="baseline", max_parallel=2, restart_lookahead_cap=1)
+    with pytest.raises(Captured) as excinfo:
+        opt.fit()
+    assert excinfo.value.args[0] == RunConfig.from_dict(opt.get_params())
+    assert excinfo.value.args[0] != RunConfig()
 
 
 def test_set_params_validates_names():

@@ -154,10 +154,9 @@ def test_restart_accepted(small_dataset):
     assert outcome.charge == 11 + 6  # b+1 plus val gate
     assert outcome.winner is not None and outcome.winner_label == "none"
     assert outcome.lookahead_steps == 1
-    winner = result.candidates[outcome.winner]
-    assert winner.parent_id is None and winner.created_by.origin == "blank"
     edge = result.trace.edges[0]
-    assert edge.from_id is None and edge.label == "none"
+    assert edge.to_id == outcome.winner
+    assert edge.from_id is None and edge.origin == "blank" and edge.label == "none"
 
 
 def test_restart_rejected_logs_sums(small_dataset):
@@ -289,9 +288,7 @@ def test_pool_and_best_gates_are_independent(small_dataset):
     assert engine.candidates[0].val_scores == (1, 0, 0, 0, 0, 0)
 
     def gate(marker):
-        candidate = engine._new_candidate(f"{marker} prompt", parent_id=0,
-                                          label="unlabeled", origin="fallback",
-                                          iteration=1)
+        candidate = engine._new_candidate(f"{marker} prompt")
         outcome = RoundOutcome(iteration=1, branch=BRANCH_FALLBACK, parent_id=0,
                                minibatch=(), charge=0)
         scored = engine._val_gate(outcome, candidate)
@@ -320,8 +317,14 @@ def test_run_store_lineage_invariants(dataset_50, taxonomy, defective_seed):
     result = run(config, dataset_50, taxonomy, backend, defective_seed)
     for candidate in result.candidates.values():
         candidate.check_invariants()
-        if candidate.parent_id is not None:
-            assert candidate.parent_id in result.candidates
+    # Lineage lives on the trace edges: every proposal's edge joins
+    # candidates of this run, and only a blank restart has no parent.
+    assert sorted(e.to_id for e in result.trace.edges) == sorted(
+        set(result.candidates) - {result.trace.root})
+    for edge in result.trace.edges:
+        if edge.from_id is not None:
+            assert edge.from_id in result.candidates
+        assert (edge.from_id is None) == (edge.origin == "blank")
 
 
 def test_trace_node_accounting(dataset_50, taxonomy, defective_seed):

@@ -127,7 +127,11 @@ def cmd_export_trace(run_dir: str, fmt: str = "dot") -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     out_path = Path(run_dir) / f"trace.{fmt}"
-    write_atomic(out_path, text)
+    try:
+        write_atomic(out_path, text)
+    except OSError as exc:
+        print(f"io failure: {exc}", file=sys.stderr)
+        return EXIT_IO_FAILURE
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -143,6 +147,9 @@ def cmd_report(run_dir: str) -> int:
     except (ValueError, VistaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:
+        print(f"io failure: {exc}", file=sys.stderr)
+        return EXIT_IO_FAILURE
     print(f"wrote report.csv, attribution.csv, oscillations.json in {run_dir}")
     return EXIT_OK
 

@@ -94,8 +94,7 @@ class PromptOptimizer:
         return self
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={getattr(self, n)!r}"
-                          for n in ("K", "p", "epsilon", "b", "budget", "rng_seed", "mode"))
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(RunConfig))
         return f"{type(self).__name__}({shown})"
 
     # -------------------------------------------------------------- fit

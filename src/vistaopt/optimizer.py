@@ -3,21 +3,24 @@ explore-exploit scheduler (restart + epsilon-greedy hypothesis slotting),
 minibatch verification, winner selection, validation gating, and exact
 budget accounting.
 
-Each branch (K labeled hypotheses, a blank restart, a single-mutation
-fallback) only generates its rewrites, sets its charge and writes its log
-lines.  All three then share one verify-gate-record path,
+Each round is decided, then applied.  ``OptimizationRun.step_round``
+decides: it draws a parent and a minibatch and runs one branch (K labeled
+hypotheses, a blank restart, a single-mutation fallback), which only
+generates its rewrites and writes its log lines.  All three share
 ``OptimizationRun._verify``: every rewrite is scored on the round's
 minibatch in one evaluator dispatch, the strictly best gain over the parent
-wins (ties go to the lowest slot), the winner is gated on the full
-validation set, and every proposal is recorded in the round outcome and
-the trace tree.
+wins (ties go to the lowest slot), and the winner is scored on the full
+validation set.  Deciding changes no run state.  ``OptimizationRun._apply``
+then commits the ``RoundOutcome``; it is the only method that changes the
+candidates, the pool, the best candidate, the trace, the ledger and the
+outcome list, so a round that raises leaves all six as they were.
 
-Budget semantics: the ledger charges per round exactly what the procedure
-meters, branch by branch (b+1 restart, b*K hypotheses, b fallback, plus
-the validation size when a winner is gated).  Parent-baseline minibatch
-evaluations and look-ahead probes beyond the first are unmetered overhead
-and are tracked on the evaluator's uncharged counter instead, so the
-charged counter and the ledger stay exactly equal.
+Budget semantics: a round charges what the evaluator metered while it was
+decided, so the ledger equals the charged counter by construction.  When no
+slot is dropped that comes to b*K for hypotheses, b+1 for a restart and b
+for the fallback, plus the validation size when a winner is gated.
+Parent-baseline minibatch evaluations and look-ahead probes beyond the
+first are unmetered overhead, tracked on the evaluator's uncharged counter.
 
 Run directory: ``config.json`` is written when the run starts and
 ``rounds/NNN.json`` as each round ends.  The state snapshots (``trace.*``,
@@ -84,9 +87,9 @@ FALLBACK_DIRECTIVE = Hypothesis(
     origin="fallback",
 )
 
-# Rounds that cannot charge the budget (degenerate configurations such as
-# p=1 with a zero look-ahead cap) would loop forever; stop after this many
-# consecutive zero-charge rounds.
+# Rounds that meter nothing (degenerate configurations such as p=1 with a
+# zero look-ahead cap, or agents whose output is always dropped) would loop
+# forever; stop after this many consecutive zero-charge rounds.
 MAX_STALLED_ROUNDS = 200
 
 
@@ -144,7 +147,7 @@ class RoundOutcome:
     branch: str
     parent_id: int | None
     minibatch: tuple[str, ...]
-    charge: int
+    charge: int = 0
     proposals: list[ProposalRecord] = field(default_factory=list)
     winner: int | None = None
     winner_label: str | None = None
@@ -152,10 +155,14 @@ class RoundOutcome:
     best_updated: bool = False
     lookahead_steps: int = 0
     log: list[str] = field(default_factory=list)
+    # What ``_apply`` needs beyond the round record; kept in memory only.
+    texts: list[str] = field(default_factory=list, repr=False)
+    winner_val_scores: tuple[int, ...] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         """JSON-shaped; shallow, as ``dataclasses.asdict`` costs ~25x more per round."""
         data = dict(vars(self))
+        del data["texts"], data["winner_val_scores"]
         data["minibatch"] = list(self.minibatch)
         data["proposals"] = [dict(vars(p)) for p in self.proposals]
         data["log"] = list(self.log)
@@ -212,31 +219,21 @@ class OptimizationRun:
         self.rng_lookahead = random.Random(f"{seed}/lookahead")
 
         self._train_ids = [item.id for item in dataset.train]
-        self._next_id = 0
-        self.candidates: dict[int, PromptCandidate] = {}
         self.outcomes: list[RoundOutcome] = []
         self.ledger = BudgetLedger(initial=config.budget)
 
         # Seed initialization: the seed is validation-scored (unmetered,
         # pre-loop) and enters the pool unconditionally.
-        seed_candidate = self._new_candidate(seed_prompt)
         scores = [r.score for r in self.evaluator.evaluate_items(
             seed_prompt, dataset.val, charged=False)]
-        seed_candidate = seed_candidate.with_val_scores(scores)
-        self.candidates[seed_candidate.id] = seed_candidate
-        self.best = seed_candidate
+        self.best = PromptCandidate(id=0, text=seed_prompt).with_val_scores(scores)
+        self.candidates: dict[int, PromptCandidate] = {0: self.best}
         self.pool = ParetoPool(vector_length=len(dataset.val))
-        self.pool.insert_seed(seed_candidate.id, scores)
+        self.pool.insert_seed(0, scores)
         self.trace = SemanticTraceTree.with_root(
-            TraceNode(id=seed_candidate.id, val_accuracy=seed_candidate.val_accuracy))
+            TraceNode(id=0, val_accuracy=self.best.val_accuracy))
 
     # ------------------------------------------------------------ helpers
-
-    def _new_candidate(self, text: str) -> PromptCandidate:
-        candidate = PromptCandidate(id=self._next_id, text=text)
-        self._next_id += 1
-        self.candidates[candidate.id] = candidate
-        return candidate
 
     def _reflect(self, parent_text: str, hypothesis: Hypothesis,
                  failures: list[FailureCase]) -> str:
@@ -246,38 +243,21 @@ class OptimizationRun:
             GenerationRequest(role="reflection_agent", messages=(("user", prompt),)))
         return extract_rewritten_prompt(response)
 
-    def _val_gate(self, outcome: RoundOutcome, candidate: PromptCandidate) -> PromptCandidate:
-        """Score the branch winner on the full validation set, then apply
-        the two independent gates: pool insertion and best-so-far."""
-        scores = [r.score for r in self.evaluator.evaluate_items(
-            candidate.text, self.dataset.val, charged=True)]
-        scored = candidate.with_val_scores(scores)
-        self.candidates[scored.id] = scored
-        outcome.charge += len(self.dataset.val)
-        insert = self.pool.try_insert(scored.id, scores)
-        outcome.pool_accepted = insert.accepted
-        if scored.val_accuracy > self.best.val_accuracy:
-            self.best = scored
-            outcome.best_updated = True
-        return scored
-
-    def _verify(self, outcome: RoundOutcome, parent: PromptCandidate,
-                parent_result: MinibatchResult, slots: list[tuple[int, str, str, str]],
-                *, restart: bool = False) -> ProposalRecord | None:
+    def _verify(self, outcome: RoundOutcome, parent_result: MinibatchResult,
+                slots: list[tuple[int, str, str, str]]) -> ProposalRecord | None:
         """Score every ``(slot, label, origin, text)`` rewrite on the round's
-        minibatch, val-gate the strictly best gain over the parent (so a
-        single proposal wins iff its gain is positive), and record every
-        proposal.  A restart candidate starts a new root.  Returns the
+        minibatch, take the strictly best gain over the parent as the winner
+        (so a single proposal wins iff its gain is positive) and score it on
+        the full validation set.  Writes only ``outcome``; returns the
         winner's record, or None."""
-        minibatch = parent_result.minibatch
+        outcome.texts = [text for *_, text in slots]
         results = self.evaluator.evaluate_batches(
-            [text for *_, text in slots], self.dataset, minibatch, charged=True)
-        parent_id = None if restart else parent.id
+            outcome.texts, self.dataset, parent_result.minibatch, charged=True)
+        first_id = len(self.candidates)
         winner: ProposalRecord | None = None
-        for (slot, label, origin, text), result in zip(slots, results):
-            candidate = self._new_candidate(text)
+        for i, ((slot, label, origin, _), result) in enumerate(zip(slots, results)):
             record = ProposalRecord(
-                slot=slot, label=label, origin=origin, candidate_id=candidate.id,
+                slot=slot, label=label, origin=origin, candidate_id=first_id + i,
                 delta_minibatch=delta_acc(result, parent_result),
                 correct_count=result.correct_count)
             outcome.proposals.append(record)
@@ -285,16 +265,33 @@ class OptimizationRun:
                 winner = record
 
         if winner is not None:
-            self._val_gate(outcome, self.candidates[winner.candidate_id])
             outcome.winner = winner.candidate_id
             outcome.winner_label = winner.label
+            outcome.winner_val_scores = tuple(r.score for r in self.evaluator.evaluate_items(
+                outcome.texts[winner.candidate_id - first_id], self.dataset.val, charged=True))
+        return winner
 
-        for record in outcome.proposals:
-            accepted = record is winner
-            candidate = self.candidates[record.candidate_id]
+    def _apply(self, outcome: RoundOutcome) -> None:
+        """Commit a decided round: the only place that changes the candidates,
+        the pool, the best candidate, the trace, the ledger and the outcomes.
+        The winner's two gates are independent: pool insertion, and a strict
+        best-so-far update.  A restart's proposal starts a new root."""
+        parent = self.candidates[outcome.parent_id]
+        from_id = None if outcome.branch == BRANCH_RESTART else parent.id
+        for record, text in zip(outcome.proposals, outcome.texts):
+            candidate = PromptCandidate(id=record.candidate_id, text=text)
+            accepted = candidate.id == outcome.winner
+            if accepted:
+                candidate = candidate.with_val_scores(outcome.winner_val_scores)
+                outcome.pool_accepted = self.pool.try_insert(
+                    candidate.id, candidate.val_scores).accepted
+                if candidate.val_accuracy > self.best.val_accuracy:
+                    self.best = candidate
+                    outcome.best_updated = True
+            self.candidates[candidate.id] = candidate
             self.trace.record_proposal(
                 TraceEdge(
-                    from_id=parent_id,
+                    from_id=from_id,
                     to_id=candidate.id,
                     label=record.label,
                     delta_minibatch=record.delta_minibatch,
@@ -308,10 +305,11 @@ class OptimizationRun:
                     id=candidate.id,
                     val_accuracy=candidate.val_accuracy,
                     correct_count=record.correct_count,
-                    minibatch_size=len(minibatch),
+                    minibatch_size=len(outcome.minibatch),
                 ),
             )
-        return winner
+        self.ledger.add(outcome.iteration, outcome.branch, outcome.charge)
+        self.outcomes.append(outcome)
 
     # ------------------------------------------------------------- rounds
 
@@ -325,8 +323,7 @@ class OptimizationRun:
             while self.ledger.remaining > 0:
                 iteration += 1
                 outcome = self.step_round(iteration)
-                self.outcomes.append(outcome)
-                self.ledger.add(iteration, outcome.branch, outcome.charge)
+                self._apply(outcome)
                 if self.out_dir is not None:
                     write_atomic(self.out_dir / "rounds" / f"{iteration:03d}.json",
                                  json_text(outcome.to_dict()))
@@ -353,6 +350,9 @@ class OptimizationRun:
         )
 
     def step_round(self, iteration: int) -> RoundOutcome:
+        """Decide one round without changing run state.  The round charges
+        exactly what the evaluator metered while deciding it."""
+        metered = self.evaluator.metric_calls
         parent_id = self.pool.select_parent(self.rng_parent)
         parent = self.candidates[parent_id]
         minibatch = sample_minibatch(self.dataset.train, self.config.b, self.rng_minibatch)
@@ -361,7 +361,7 @@ class OptimizationRun:
         parent_result = self.evaluator.evaluate_batches(
             [parent.text], self.dataset, minibatch, charged=False)[0]
         outcome = RoundOutcome(iteration=iteration, branch=BRANCH_FALLBACK,
-                               parent_id=parent.id, minibatch=tuple(minibatch), charge=0)
+                               parent_id=parent.id, minibatch=tuple(minibatch))
 
         if self.config.mode == "baseline":
             self._fallback_round(outcome, parent, parent_result)
@@ -374,6 +374,7 @@ class OptimizationRun:
             else:
                 outcome.log.append(NO_FAILURES_LOG)
                 self._fallback_round(outcome, parent, parent_result)
+        outcome.charge = self.evaluator.metric_calls - metered
         return outcome
 
     # --------------------------------------------------- hypothesis branch
@@ -404,7 +405,7 @@ class OptimizationRun:
                 if attempt == 0:
                     outcome.log.append("Hypothesis agent response had no blocks; retrying once.")
         if hypotheses is None:
-            # Only the generation calls were spent; nothing is metered.
+            # Only the generation calls were spent; nothing was metered.
             outcome.branch = BRANCH_SKIPPED
             outcome.log.append("Hypothesis agent returned no parseable blocks. Round skipped.")
             return
@@ -420,9 +421,7 @@ class OptimizationRun:
                 continue
             slots.append((slot, hyp.label, hyp.origin, rewrite))
 
-        # The round charges b*K regardless of dropped slots.
-        outcome.charge = cfg.b * cfg.K
-        winner = self._verify(outcome, parent, parent_result, slots)
+        winner = self._verify(outcome, parent_result, slots)
         if winner is None:
             outcome.log.append(NO_WINNER_LOG)
         else:
@@ -464,14 +463,11 @@ class OptimizationRun:
                 break
         if restart_text is None or not clean:
             outcome.branch = BRANCH_SKIPPED
-            outcome.charge = 1 if outcome.lookahead_steps else 0
             outcome.log.append(
                 f"Restart look-ahead did not converge within {cfg.restart_lookahead_cap} steps; round skipped.")
             return
 
-        outcome.charge = cfg.b + 1
-        winner = self._verify(outcome, parent, parent_result,
-                              [(0, BLANK_LABEL, "blank", restart_text)], restart=True)
+        winner = self._verify(outcome, parent_result, [(0, BLANK_LABEL, "blank", restart_text)])
         if winner is not None:
             outcome.log.append("Random restart accepted.")
         else:
@@ -493,9 +489,7 @@ class OptimizationRun:
             outcome.log.append("Fallback mutation produced an empty rewrite. Round skipped.")
             return
 
-        outcome.charge = self.config.b
-        winner = self._verify(outcome, parent, parent_result,
-                              [(0, UNLABELED, "fallback", text)])
+        winner = self._verify(outcome, parent_result, [(0, UNLABELED, "fallback", text)])
         if winner is not None:
             outcome.log.append("Single-mutation candidate accepted.")
         else:
@@ -506,9 +500,9 @@ class OptimizationRun:
     # ---------------------------------------------------------- artifacts
 
     def _write_snapshots(self) -> None:
-        """Write the trace, pool and ledger once per run.  The trace and pool
-        change only after a round's evaluations succeed, so after a round
-        raises these hold the state of the rounds before it."""
+        """Write the trace, pool and ledger once per run.  Only ``_apply``
+        changes them, after a round is decided, so after a round raises
+        these hold the state of the rounds before it."""
         if self.out_dir is None:
             return
         write_atomic(self.out_dir / "trace.json", export_tree(self.trace, "json"))

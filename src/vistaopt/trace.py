@@ -73,12 +73,6 @@ class SemanticTraceTree:
                 return edge
         return None
 
-    def is_root(self, node_id: int) -> bool:
-        if node_id == self.root:
-            return True
-        incoming = self._incoming(node_id)
-        return incoming is not None and incoming.from_id is None
-
     def record_proposal(self, edge: TraceEdge, node: TraceNode) -> None:
         """Append one proposal; the target node is created by the edge."""
         if node.id != edge.to_id:

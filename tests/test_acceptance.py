@@ -132,6 +132,9 @@ def test_criterion_4_budget_exactness():
         ledger = result.ledger
         assert ledger.remaining + ledger.total_charged() == ledger.initial
         assert result.evaluator.metric_calls == ledger.total_charged(), trial
+        # The last round starts with at least one call left and charges at
+        # most its largest branch plus a validation gate.
+        assert -ledger.remaining <= max(b * config.K, b + 1) + val_size - 1, trial
         base = {BRANCH_RESTART: b + 1, BRANCH_HYPOTHESES: b * config.K,
                 BRANCH_FALLBACK: b}
         for outcome in result.outcomes:

@@ -178,10 +178,8 @@ def test_report_orders_rounds_past_999(tmp_path):
     assert [int(row.split(",")[0]) for row in rows] == [0] + cumulative
 
 
-def test_export_trace_failed_write_leaves_trace_intact(config_file, tmp_path, monkeypatch):
-    out = tmp_path / "run"
-    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
-    before = (out / "trace.json").read_bytes()
+def crash_writes_halfway(monkeypatch):
+    """Make every ``Path.write_text`` write half its data, then fail."""
     write_text = Path.write_text
 
     def crash_halfway(path, data, *args, **kwargs):
@@ -189,8 +187,28 @@ def test_export_trace_failed_write_leaves_trace_intact(config_file, tmp_path, mo
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "write_text", crash_halfway)
-    with pytest.raises(OSError):
-        main(["export-trace", str(out), "--format", "json"])
+
+
+def test_export_trace_failed_write_leaves_trace_intact(config_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    before = (out / "trace.json").read_bytes()
+    crash_writes_halfway(monkeypatch)
+    assert main(["export-trace", str(out), "--format", "json"]) == EXIT_IO_FAILURE
     monkeypatch.undo()
+    assert "io failure: disk full" in capsys.readouterr().err
     assert (out / "trace.json").read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_report_failed_write_leaves_report_intact(config_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    assert main(["report", str(out)]) == EXIT_OK
+    before = (out / "report.csv").read_bytes()
+    crash_writes_halfway(monkeypatch)
+    assert main(["report", str(out)]) == EXIT_IO_FAILURE
+    monkeypatch.undo()
+    assert "io failure: disk full" in capsys.readouterr().err
+    assert (out / "report.csv").read_bytes() == before
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

@@ -36,6 +36,14 @@ def test_every_run_config_field_is_an_estimator_parameter(monkeypatch):
     assert excinfo.value.args[0] != RunConfig()
 
 
+def test_repr_names_every_run_config_field():
+    opt = PromptOptimizer(max_parallel=2, restart_lookahead_cap=1)
+    shown = repr(opt)
+    assert shown.startswith("PromptOptimizer(")
+    for f in fields(RunConfig):
+        assert f"{f.name}={getattr(opt, f.name)!r}" in shown
+
+
 def test_set_params_validates_names():
     opt = PromptOptimizer()
     opt.set_params(K=5, epsilon=0.2)

@@ -6,7 +6,7 @@ import pytest
 
 from vistaopt import optimizer
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
-from vistaopt.domain import RunConfig, default_taxonomy
+from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy
 from vistaopt.errors import NonPositiveBetaError, TransportFailureError
 from vistaopt.optimizer import (
     BRANCH_FALLBACK,
@@ -286,13 +286,18 @@ def test_pool_and_best_gates_are_independent(small_dataset):
     config = RunConfig(b=10, budget=0, max_parallel=1)
     engine = OptimizationRun(config, small_dataset, default_taxonomy(), backend, "SEED prompt")
     assert engine.candidates[0].val_scores == (1, 0, 0, 0, 0, 0)
+    # Against a baseline that gets every validation item wrong, each marked
+    # prompt has a positive gain on a validation-item minibatch, so it wins.
+    minibatch = [item.id for item in small_dataset.val]
+    baseline = engine.evaluator.evaluate_batches(
+        ["NONE prompt"], small_dataset, minibatch, charged=False)[0]
 
     def gate(marker):
-        candidate = engine._new_candidate(f"{marker} prompt")
         outcome = RoundOutcome(iteration=1, branch=BRANCH_FALLBACK, parent_id=0,
-                               minibatch=(), charge=0)
-        scored = engine._val_gate(outcome, candidate)
-        return outcome, scored
+                               minibatch=tuple(minibatch))
+        engine._verify(outcome, baseline, [(0, UNLABELED, "fallback", f"{marker} prompt")])
+        engine._apply(outcome)
+        return outcome, engine.candidates[outcome.winner]
 
     outcome_b, scored_b = gate("B")
     assert outcome_b.pool_accepted and outcome_b.best_updated
@@ -398,14 +403,54 @@ def test_unparseable_hypothesis_response_skips_round(small_dataset):
     assert result.evaluator.metric_calls == 0
 
 
-def test_empty_rewrite_drops_slot_but_charges_full_round(small_dataset):
+def test_empty_rewrite_drops_slot_and_charges_nothing(small_dataset):
     backend = BrokenAgentBackend(small_dataset, reflection_text="   \n  ")
     result = anomaly_run(small_dataset, backend, budget=30)
     first = result.outcomes[0]
     assert first.branch == BRANCH_HYPOTHESES
     assert first.proposals == [] and first.winner is None
-    assert first.charge == 30  # b*K is charged even with every slot dropped
+    assert first.charge == 0  # a dropped slot is never scored, so it costs nothing
     assert sum(1 for line in first.log if "slot dropped" in line) == 3
+    assert result.ledger.total_charged() == result.evaluator.metric_calls
+
+
+class FirstBlockOnlyBackend:
+    """Wraps a backend; the hypothesis agent's reply keeps only its first block."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def generate(self, request):
+        text = self.inner.generate(request)
+        if request.role == "hypothesis_agent":
+            text = text.split("[HYPOTHESIS 2]")[0]
+        return text
+
+
+def test_short_hypothesis_reply_charges_only_metered_calls(dataset_50, taxonomy, defective_seed,
+                                                          monkeypatch):
+    metered = []
+    step_round = OptimizationRun.step_round
+
+    def metered_step_round(engine, iteration):
+        before = engine.evaluator.metric_calls
+        outcome = step_round(engine, iteration)
+        metered.append(engine.evaluator.metric_calls - before)
+        return outcome
+
+    monkeypatch.setattr(OptimizationRun, "step_round", metered_step_round)
+    backend = FirstBlockOnlyBackend(
+        SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 0))
+    config = RunConfig(rng_seed=0, budget=500, max_parallel=1)
+    result = run(config, dataset_50, taxonomy, backend, defective_seed)
+    assert result.ledger.total_charged() == result.evaluator.metric_calls
+    assert [o.charge for o in result.outcomes] == metered
+    hypothesis_rounds = [o for o in result.outcomes if o.branch == BRANCH_HYPOTHESES]
+    assert hypothesis_rounds
+    for outcome in hypothesis_rounds:
+        assert len(outcome.proposals) == 1
+        gated = len(dataset_50.val) if outcome.winner is not None else 0
+        assert outcome.charge == config.b + gated
 
 
 def test_restart_lookahead_cap_reached_charges_single_probe(small_dataset):
@@ -482,6 +527,25 @@ def test_crash_leaves_state_of_completed_rounds(fail_at, dataset_50, taxonomy, d
     # No best_prompt.txt after a failure, and no temporary file left behind.
     assert sorted(f.name for f in out_dir.iterdir()) == [
         "config.json", "ledger.json", "pool.json", "rounds", "trace.dot", "trace.json"]
+
+
+def test_crash_in_first_validation_gate_leaves_seed_state(dataset_50, taxonomy, defective_seed):
+    # Generations 1-50 score the seed on validation, 51-58 the parent's
+    # minibatch, 59 is the hypothesis agent, 60-62 the reflections and 63-86
+    # the three proposals; 87 is the first of round 1's validation gate.
+    backend = FailingBackend(SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 0),
+                             fail_at=87)
+    engine = OptimizationRun(RunConfig(rng_seed=0, budget=5000, max_parallel=1), dataset_50,
+                             taxonomy, backend, defective_seed)
+    with pytest.raises(TransportFailureError):
+        engine.run()
+    assert engine.evaluator.metric_calls == 3 * 8, "the proposals were scored, the gate was not"
+    assert set(engine.candidates) == set(engine.trace.nodes) == {0}
+    assert engine.trace.edges == []
+    assert engine.pool.members == [0]
+    assert engine.best.id == 0
+    assert engine.ledger.charges == [] and engine.ledger.remaining == 5000
+    assert engine.outcomes == []
 
 
 def test_persisted_run_exports_trace_once_per_format(dataset_50, taxonomy, defective_seed,

@@ -67,7 +67,7 @@ def test_restart_root_edge():
     tree = seed_tree()
     tree.record_proposal(
         edge(None, 1, "none", origin="blank", pp=10.0), node(1, val=0.4))
-    assert tree.is_root(1)
+    assert [e.from_id for e in tree.edges if e.to_id == 1] == [None]
     assert tree.trajectory(1) == []
 
 

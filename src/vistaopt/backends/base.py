@@ -49,8 +49,9 @@ class Backend(Protocol):
     def generate(self, request: GenerationRequest) -> str:
         """Return the response text for one generation request.
 
-        Must be safe for concurrent invocation up to the configured
-        parallelism.  Budget exhaustion is never signalled here; the budget
+        Must be safe for concurrent invocation up to ``max_parallel``,
+        unless the backend declares ``in_process = True`` (it is then called
+        serially).  Budget exhaustion is never signalled here; the budget
         meters metric calls, not generations.
         """
         ...

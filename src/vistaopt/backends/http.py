@@ -11,6 +11,7 @@ import logging
 import os
 import threading
 import time
+import warnings
 
 import requests
 
@@ -27,7 +28,7 @@ RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 
 class HttpBackend:
     """One chat-completion round trip per generate(), with bounded retries
-    on transport failure; in-flight requests are capped by a semaphore."""
+    on transport failure; the evaluator's pool caps concurrency."""
 
     def __init__(
         self,
@@ -38,7 +39,7 @@ class HttpBackend:
         timeout: float = 120.0,
         max_retries: int = 3,
         backoff_base: float = 0.5,
-        max_in_flight: int = 4,
+        max_in_flight: int | None = None,
     ):
         base_url = base_url or os.environ.get(BASE_URL_ENV)
         if not base_url:
@@ -50,7 +51,9 @@ class HttpBackend:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self._gate = threading.Semaphore(max_in_flight)
+        if max_in_flight is not None:
+            warnings.warn("max_in_flight is deprecated and ignored; max_parallel is the "
+                          "one concurrency limit", DeprecationWarning, stacklevel=2)
         self.requests_sent = 0
         self.retries = 0
         self._lock = threading.Lock()
@@ -94,11 +97,10 @@ class HttpBackend:
                 with self._lock:
                     self.retries += 1
             try:
-                with self._gate:
-                    with self._lock:
-                        self.requests_sent += 1
-                    response = requests.post(url, json=body, headers=headers,
-                                             timeout=self.timeout)
+                with self._lock:
+                    self.requests_sent += 1
+                response = requests.post(url, json=body, headers=headers,
+                                         timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = exc
                 logger.warning("transport error (attempt %d): %s", attempt + 1, exc)

@@ -259,6 +259,8 @@ def synthetic_reflect(label: str, parent_text: str, world: SyntheticWorldConfig,
 class SyntheticBackend:
     """Deterministic function of (request, world config, run seed)."""
 
+    in_process = True  # microseconds of CPU per call: the evaluator never threads it
+
     def __init__(self, world: SyntheticWorldConfig, dataset: TaskDataset,
                  taxonomy: Taxonomy, run_seed: int):
         self.world = world

@@ -99,6 +99,9 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
     except TransportFailureError as exc:
         print(f"transport failure: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT_FAILURE
+    except OSError as exc:
+        print(f"io failure: {exc}", file=sys.stderr)
+        return EXIT_IO_FAILURE
     except (ValueError, VistaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -188,11 +188,12 @@ class Evaluator:
     against.
 
     Every evaluation goes through one dispatch path: the call's
-    (prompt, item) grid is generated concurrently up to ``max_parallel``,
-    merged slot-then-item (prompt order, then item order), scored, and
-    counted as charged or uncharged, so downstream state is
-    schedule-independent.  All randomness is drawn by the coordinator
-    before dispatch.
+    (prompt, item) grid is generated concurrently up to ``max_parallel``
+    (serially for a backend that declares ``in_process``, where threads
+    cost more than the work), merged slot-then-item (prompt order, then
+    item order), scored, and counted as charged or uncharged, so downstream
+    state is schedule-independent.  All randomness is drawn by the
+    coordinator before dispatch.
     """
 
     def __init__(self, backend: Backend, max_parallel: int = 1):
@@ -206,7 +207,8 @@ class Evaluator:
         requests = [GenerationRequest(role="base",
                                       messages=(("system", text), ("user", item.question)))
                     for text, item in tasks]
-        if self.max_parallel > 1 and len(requests) > 1:
+        if (self.max_parallel > 1 and len(requests) > 1
+                and not getattr(self.backend, "in_process", False)):
             with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
                 raws = list(pool.map(self.backend.generate, requests))
         else:

@@ -148,6 +148,24 @@ def test_optimize_with_template_override(tmp_path, config_file):
     assert main(["optimize", str(cfg), "defective", str(out)]) == EXIT_OK
 
 
+def test_optimize_unwritable_out_dir_exit_code(tmp_path, config_file, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    code = main(["optimize", str(config_file), "defective", str(blocker / "run")])
+    assert code == EXIT_IO_FAILURE
+    assert "io failure:" in capsys.readouterr().err
+
+
+def test_optimize_missing_template_override_exit_code(tmp_path, config_file, capsys):
+    data = json.loads(config_file.read_text())
+    data["templates"] = {"hypothesis": str(tmp_path / "absent.txt")}
+    cfg = tmp_path / "templated.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["optimize", str(cfg), "defective", str(tmp_path / "run")])
+    assert code == EXIT_IO_FAILURE
+    assert "io failure:" in capsys.readouterr().err
+
+
 def test_report_best_curve_zero_budget(tmp_path, config_file):
     data = json.loads(config_file.read_text())
     data["budget"] = 0

@@ -1,5 +1,7 @@
 import math
 import random
+import threading
+import time
 
 import pytest
 
@@ -204,6 +206,21 @@ def test_score_output_score_implies_match(dataset_50):
 
 # -------------------------------------------------- evaluator parallelism
 
+class ThreadRecordingBackend:
+    """Plain forwarding wrapper: declares no ``in_process``, so the
+    evaluator dispatches it on its pool.  Adds each calling thread to
+    ``threads``."""
+
+    def __init__(self, inner, threads):
+        self.inner = inner
+        self.threads = threads
+
+    def generate(self, request):
+        self.threads.add(threading.get_ident())
+        time.sleep(0.001)  # long enough that the pool hands work to several workers
+        return self.inner.generate(request)
+
+
 def test_evaluator_parallel_matches_sequential(world, dataset_50, taxonomy, defective_seed):
     from vistaopt.backends.synthetic import SyntheticBackend
 
@@ -215,6 +232,30 @@ def test_evaluator_parallel_matches_sequential(world, dataset_50, taxonomy, defe
     b = par.evaluate_batches([defective_seed], dataset_50, ids, charged=True)[0]
     assert a == b
     assert seq.metric_calls == par.metric_calls == 8
+
+    threads = set()
+    pooled = Evaluator(ThreadRecordingBackend(backend, threads), max_parallel=4)
+    c = pooled.evaluate_batches([defective_seed], dataset_50, ids, charged=True)[0]
+    assert c == a
+    assert pooled.metric_calls == 8
+    assert len(threads) > 1
+
+
+def test_in_process_backend_runs_on_callers_thread(world, dataset_50, taxonomy, defective_seed):
+    from vistaopt.backends.synthetic import SyntheticBackend
+
+    class ThreadRecordingSynthetic(SyntheticBackend):
+        def generate(self, request):
+            self.threads.add(threading.get_ident())
+            return super().generate(request)
+
+    backend = ThreadRecordingSynthetic(world, dataset_50, taxonomy, run_seed=0)
+    backend.threads = set()
+    ev = Evaluator(backend, max_parallel=4)
+    ids = [item.id for item in dataset_50.train[:8]]
+    ev.evaluate_batches([defective_seed, defective_seed + "\n"], dataset_50, ids, charged=True)
+    assert backend.threads == {threading.get_ident()}
+    assert ev.metric_calls == 16
 
 
 def test_evaluator_charged_vs_uncharged(synthetic_backend, dataset_50, defective_seed):

@@ -21,6 +21,8 @@ from vistaopt import run
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt
 
+from test_evaluation import ThreadRecordingBackend
+
 MANIFEST = Path(__file__).parent / "data" / "golden_runs.json"
 
 # Every run uses the defective seed, rng_seed 0 and a 50/50 synthetic dataset.
@@ -33,26 +35,41 @@ CONFIGS = {
 }
 
 
-def run_digests(name: str, out_dir: Path) -> dict[str, str]:
+def run_digests(name: str, out_dir: Path, wrap=lambda backend: backend) -> dict[str, str]:
     dataset = make_synthetic_dataset(50, 50)
     taxonomy = default_taxonomy()
-    backend = SyntheticBackend(SyntheticWorldConfig(), dataset, taxonomy, run_seed=0)
+    backend = wrap(SyntheticBackend(SyntheticWorldConfig(), dataset, taxonomy, run_seed=0))
     run(RunConfig(rng_seed=0, **CONFIGS[name]), dataset, taxonomy, backend,
         load_seed_prompt("defective"), out_dir=out_dir)
     return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out_dir.rglob("*")) if path.is_file()}
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
-def test_run_directory_matches_golden_manifest(name, tmp_path):
+def assert_matches_manifest(name: str, actual: dict[str, str]) -> None:
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))[name]
-    actual = run_digests(name, tmp_path / name)
     missing = sorted(set(expected) - set(actual))
     unexpected = sorted(set(actual) - set(expected))
     assert not missing and not unexpected, (
         f"{name}: missing files {missing}, unexpected files {unexpected}")
     changed = [f for f in expected if actual[f] != expected[f]]
     assert not changed, f"{name}: files differ from the golden manifest: {changed}"
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_run_directory_matches_golden_manifest(name, tmp_path):
+    assert_matches_manifest(name, run_digests(name, tmp_path / name))
+
+
+def test_pooled_dispatch_matches_golden_manifest(tmp_path):
+    """The synthetic backend is dispatched serially; behind a wrapper that
+    hides ``in_process`` the same run takes the thread pool, and its merge
+    order must reproduce the same bytes."""
+    name = "vista-b500-parallel4"
+    threads = set()
+    actual = run_digests(name, tmp_path / name,
+                         wrap=lambda backend: ThreadRecordingBackend(backend, threads))
+    assert_matches_manifest(name, actual)
+    assert len(threads) > 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -9,6 +11,7 @@ from vistaopt.backends.http import HttpBackend
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt
 from vistaopt.errors import TransportFailureError
+from vistaopt.evaluation import Evaluator
 from vistaopt.optimizer import run
 
 
@@ -19,11 +22,16 @@ def completion(content):
 class StubServer:
     """Recorded-response chat-completions stub.  The script is a list of
     (status, payload) pairs consumed one per POST; the last entry repeats.
+    Each request is served on its own thread after ``delay`` seconds, and
+    ``in_flight_max`` records the most requests served at once.
     """
 
-    def __init__(self, script):
+    def __init__(self, script, delay=0.0):
         self.script = list(script)
+        self.delay = delay
         self.requests = []
+        self.in_flight = 0
+        self.in_flight_max = 0
         self._lock = threading.Lock()
         stub = self
 
@@ -38,6 +46,11 @@ class StubServer:
                         "body": body,
                         "auth": self.headers.get("Authorization"),
                     })
+                    stub.in_flight += 1
+                    stub.in_flight_max = max(stub.in_flight_max, stub.in_flight)
+                time.sleep(stub.delay)
+                with stub._lock:
+                    stub.in_flight -= 1
                 status, payload = stub.script[min(index, len(stub.script) - 1)]
                 data = json.dumps(payload).encode()
                 self.send_response(status)
@@ -49,7 +62,7 @@ class StubServer:
             def log_message(self, *args):
                 pass
 
-        self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     def __enter__(self):
@@ -138,6 +151,34 @@ def test_role_models_routing():
         backend.generate(GenerationRequest(role="reflection_agent",
                                            messages=(("user", "u"),)))
         assert stub.requests[0]["body"]["model"] == "big-model"
+
+
+def test_max_parallel_is_the_one_concurrency_limit():
+    items = make_synthetic_dataset(8, 2).train
+    with StubServer([(200, completion('{"final_answer": "1"}'))], delay=0.02) as stub:
+        evaluator = Evaluator(HttpBackend(base_url=stub.base_url, backoff_base=0.0),
+                              max_parallel=2)
+        records = evaluator.evaluate_items("system prompt", items, charged=True)
+    assert [r.item_id for r in records] == [item.id for item in items]
+    assert len(stub.requests) == 8
+    assert stub.in_flight_max == 2
+
+
+def test_max_in_flight_is_deprecated_and_ignored():
+    with StubServer([(200, completion("same body"))]) as stub:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        with pytest.warns(DeprecationWarning) as by_keyword:
+            keyword = HttpBackend(base_url=stub.base_url, backoff_base=0.0, max_in_flight=2)
+        with pytest.warns(DeprecationWarning) as by_config:
+            configured = HttpBackend.from_config(
+                {"base_url": stub.base_url, "backoff_base": 0.0, "max_in_flight": 2})
+        for record in (by_keyword, by_config):
+            assert [w.category for w in record] == [DeprecationWarning]
+            assert "max_in_flight" in str(record[0].message)
+        replies = [b.generate(agent_request()) for b in (plain, keyword, configured)]
+    assert replies == ["same body"] * 3
 
 
 HYPOTHESIS_RESPONSE = """[HYPOTHESIS 1]

@@ -414,6 +414,27 @@ def test_empty_rewrite_drops_slot_and_charges_nothing(small_dataset):
     assert result.ledger.total_charged() == result.evaluator.metric_calls
 
 
+def test_unmetered_rounds_are_bounded_by_the_stall_guard(small_dataset):
+    """Rounds that meter nothing still generate: the seed's validation, then
+    per round the parent baseline (b), one hypothesis call and K
+    reflections, until MAX_STALLED_ROUNDS ends the run (the bound stated in
+    the README's budget accounting)."""
+    calls = []
+
+    class CountingBrokenBackend(BrokenAgentBackend):
+        def generate(self, request):
+            calls.append(request.role)
+            return super().generate(request)
+
+    backend = CountingBrokenBackend(small_dataset, reflection_text="   \n  ")
+    result = anomaly_run(small_dataset, backend, budget=30)
+    K, b = 3, 10
+    assert len(result.outcomes) == MAX_STALLED_ROUNDS
+    assert result.evaluator.metric_calls == 0
+    assert result.evaluator.uncharged_calls == len(small_dataset.val) + MAX_STALLED_ROUNDS * b
+    assert len(calls) == len(small_dataset.val) + MAX_STALLED_ROUNDS * (b + 1 + K) == 2806
+
+
 class FirstBlockOnlyBackend:
     """Wraps a backend; the hypothesis agent's reply keeps only its first block."""
 

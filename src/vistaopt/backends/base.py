@@ -51,8 +51,10 @@ class Backend(Protocol):
 
         Must be safe for concurrent invocation up to ``max_parallel``,
         unless the backend declares ``in_process = True`` (it is then called
-        serially).  Budget exhaustion is never signalled here; the budget
-        meters metric calls, not generations.
+        serially).  A backend that declares ``deterministic = True`` promises
+        the same text for the same request, so the evaluator generates each
+        base (prompt, item) pair once per run.  Budget exhaustion is never
+        signalled here; the budget meters metric calls, not generations.
         """
         ...
 

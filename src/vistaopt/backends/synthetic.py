@@ -260,6 +260,7 @@ class SyntheticBackend:
     """Deterministic function of (request, world config, run seed)."""
 
     in_process = True  # microseconds of CPU per call: the evaluator never threads it
+    deterministic = True  # output is a function of the request: the evaluator memoizes it
 
     def __init__(self, world: SyntheticWorldConfig, dataset: TaskDataset,
                  taxonomy: Taxonomy, run_seed: int):

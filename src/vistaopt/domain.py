@@ -8,6 +8,7 @@ concurrent evaluation workers; updated views are produced with
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import asdict, dataclass, fields, replace
@@ -165,6 +166,7 @@ def load_taxonomy_path(path: str | Path) -> Taxonomy:
     return load_taxonomy(text)
 
 
+@functools.cache
 def default_taxonomy() -> Taxonomy:
     text = resources.files("vistaopt.data").joinpath("taxonomy.yaml").read_text(encoding="utf-8")
     return load_taxonomy(text)

@@ -194,6 +194,10 @@ class Evaluator:
     item order), scored, and counted as charged or uncharged, so downstream
     state is schedule-independent.  All randomness is drawn by the
     coordinator before dispatch.
+
+    A backend that declares ``deterministic`` has each distinct (prompt,
+    item) pair generated and scored once per evaluator, and repeats still
+    count.  Sampled models are not memoized: verification compares fresh samples.
     """
 
     def __init__(self, backend: Backend, max_parallel: int = 1):
@@ -201,9 +205,10 @@ class Evaluator:
         self.max_parallel = max(1, int(max_parallel))
         self.metric_calls = 0
         self.uncharged_calls = 0
+        self._memo: dict[tuple[str, "TaskItem"], EvaluationRecord] | None = (
+            {} if getattr(backend, "deterministic", False) else None)
 
-    def _dispatch(self, tasks: Sequence[tuple[str, "TaskItem"]], *,
-                  charged: bool) -> list[EvaluationRecord]:
+    def _generate_and_score(self, tasks: Sequence[tuple[str, "TaskItem"]]) -> list[EvaluationRecord]:
         requests = [GenerationRequest(role="base",
                                       messages=(("system", text), ("user", item.question)))
                     for text, item in tasks]
@@ -213,11 +218,25 @@ class Evaluator:
                 raws = list(pool.map(self.backend.generate, requests))
         else:
             raws = [self.backend.generate(request) for request in requests]
+        return [score_output(item, raw) for (_text, item), raw in zip(tasks, raws)]
+
+    def _dispatch(self, tasks: Sequence[tuple[str, "TaskItem"]], *,
+                  charged: bool) -> list[EvaluationRecord]:
+        if self._memo is None:
+            records = self._generate_and_score(tasks)
+        else:
+            # Keyed on the whole item, not its id: callers of predict/score
+            # build their own items, and ids may repeat.
+            records = [self._memo.get(t) for t in tasks]
+            missing = list(dict.fromkeys(t for t, r in zip(tasks, records) if r is None))
+            if missing:
+                self._memo.update(zip(missing, self._generate_and_score(missing)))
+                records = [self._memo[t] for t in tasks]
         if charged:
             self.metric_calls += len(tasks)
         else:
             self.uncharged_calls += len(tasks)
-        return [score_output(item, raw) for (_text, item), raw in zip(tasks, raws)]
+        return records
 
     def evaluate_items(self, prompt_text: str, items: Sequence["TaskItem"], *,
                        charged: bool) -> list[EvaluationRecord]:

@@ -60,18 +60,19 @@ class SemanticTraceTree:
     root: int
     nodes: dict[int, TraceNode] = field(default_factory=dict)
     edges: list[TraceEdge] = field(default_factory=list)
+    # to_id -> the first edge into that node, so trajectory walks in O(depth).
+    _incoming: dict[int, TraceEdge] = field(init=False, default_factory=dict,
+                                            compare=False, repr=False)
+
+    def __post_init__(self):
+        for edge in self.edges:
+            self._incoming.setdefault(edge.to_id, edge)
 
     @classmethod
     def with_root(cls, node: TraceNode) -> "SemanticTraceTree":
         tree = cls(root=node.id)
         tree.nodes[node.id] = node
         return tree
-
-    def _incoming(self, node_id: int) -> TraceEdge | None:
-        for edge in self.edges:
-            if edge.to_id == node_id:
-                return edge
-        return None
 
     def record_proposal(self, edge: TraceEdge, node: TraceNode) -> None:
         """Append one proposal; the target node is created by the edge."""
@@ -82,12 +83,13 @@ class SemanticTraceTree:
         if edge.from_id is not None:
             if edge.from_id not in self.nodes:
                 raise UnknownParentError(f"parent {edge.from_id} not in tree")
-            incoming = self._incoming(edge.from_id)
+            incoming = self._incoming.get(edge.from_id)
             if incoming is not None and incoming.status == REJECTED:
                 raise UnknownParentError(
                     f"parent {edge.from_id} is a rejected leaf")
         self.nodes[node.id] = node
         self.edges.append(edge)
+        self._incoming.setdefault(edge.to_id, edge)
 
     def trajectory(self, node_id: int) -> list[TraceEdge]:
         """Edges along the unique path from the node's root; empty for
@@ -98,7 +100,7 @@ class SemanticTraceTree:
         path: list[TraceEdge] = []
         current = node_id
         while True:
-            incoming = self._incoming(current)
+            incoming = self._incoming.get(current)
             if incoming is None or incoming.from_id is None:
                 break
             path.append(incoming)
@@ -132,23 +134,21 @@ class SemanticTraceTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SemanticTraceTree":
-        tree = cls(root=data["root"])
-        for n in data["nodes"]:
-            tree.nodes[n["id"]] = TraceNode(**n)
-        for e in data["edges"]:
-            tree.edges.append(
-                TraceEdge(
-                    from_id=e["from"],
-                    to_id=e["to"],
-                    label=e["label"],
-                    delta_minibatch=e["delta_minibatch"],
-                    delta_val_pp=e.get("delta_val_pp"),
-                    status=e["status"],
-                    iteration=e["iteration"],
-                    origin=e["origin"],
-                )
+        edges = [
+            TraceEdge(
+                from_id=e["from"],
+                to_id=e["to"],
+                label=e["label"],
+                delta_minibatch=e["delta_minibatch"],
+                delta_val_pp=e.get("delta_val_pp"),
+                status=e["status"],
+                iteration=e["iteration"],
+                origin=e["origin"],
             )
-        return tree
+            for e in data["edges"]
+        ]
+        return cls(root=data["root"], nodes={n["id"]: TraceNode(**n) for n in data["nodes"]},
+                   edges=edges)
 
     def to_dot(self) -> str:
         lines = ["digraph trace {", "  rankdir=TB;", "  node [shape=circle];"]

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 import yaml
@@ -8,8 +9,10 @@ from vistaopt.domain import (
     RunConfig,
     TaskDataset,
     TaskItem,
+    default_taxonomy,
     load_dataset,
     load_taxonomy,
+    load_taxonomy_path,
     validate_config,
 )
 from vistaopt.errors import (
@@ -61,6 +64,18 @@ def serialize_taxonomy(taxonomy):
 def test_taxonomy_round_trip(taxonomy):
     reparsed = load_taxonomy(serialize_taxonomy(taxonomy))
     assert reparsed == taxonomy
+
+
+def test_default_taxonomy_is_parsed_once():
+    assert default_taxonomy() is default_taxonomy()
+
+
+def test_load_taxonomy_path_returns_a_separate_equal_taxonomy():
+    with resources.as_file(resources.files("vistaopt.data") / "taxonomy.yaml") as path:
+        loaded = load_taxonomy_path(path)
+    assert loaded == default_taxonomy()
+    assert loaded is not default_taxonomy()
+    assert loaded is not load_taxonomy_path(path)
 
 
 def test_taxonomy_membership_and_joint(taxonomy):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from vistaopt.backends.synthetic import SyntheticBackend
 from vistaopt.errors import MinibatchMismatchError
 from vistaopt.evaluation import (
     EvaluationRecord,
@@ -265,3 +266,102 @@ def test_evaluator_charged_vs_uncharged(synthetic_backend, dataset_50, defective
     assert (ev.metric_calls, ev.uncharged_calls) == (0, 4)
     ev.evaluate_batches([defective_seed], dataset_50, ids, charged=True)
     assert (ev.metric_calls, ev.uncharged_calls) == (4, 4)
+
+
+# ------------------------------------------------------ evaluation memo
+
+class CountingSynthetic(SyntheticBackend):
+    """Counts base-role calls; raises on the ``fail_at``-th one."""
+
+    def __init__(self, world, dataset, taxonomy, run_seed=0, fail_at=None):
+        super().__init__(world, dataset, taxonomy, run_seed=run_seed)
+        self.base_calls = 0
+        self.fail_at = fail_at
+
+    def generate(self, request):
+        if request.role == "base":
+            if self.base_calls + 1 == self.fail_at:
+                raise RuntimeError("injected generation failure")
+            self.base_calls += 1
+        return super().generate(request)
+
+
+class ForwardingBackend:
+    """Plain forwarding wrapper: declares neither ``in_process`` nor
+    ``deterministic``, and counts every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def generate(self, request):
+        self.calls += 1
+        return self.inner.generate(request)
+
+
+def test_memo_generates_each_distinct_pair_once_per_run(world, dataset_50, taxonomy,
+                                                         defective_seed):
+    """The benchmark's config (K=3, p=0.2, epsilon=0.1, b=8, budget 5000),
+    seed 1: 7,497 requested pairs, 473 of them distinct."""
+    from vistaopt import run
+    from vistaopt.domain import RunConfig
+
+    config = RunConfig(K=3, p=0.2, epsilon=0.1, b=8, budget=5000, rng_seed=1, max_parallel=1)
+    counting = CountingSynthetic(world, dataset_50, taxonomy, run_seed=1)
+    memo = run(config, dataset_50, taxonomy, counting, defective_seed)
+    plain_backend = ForwardingBackend(SyntheticBackend(world, dataset_50, taxonomy, run_seed=1))
+    plain = run(config, dataset_50, taxonomy, plain_backend, defective_seed)
+
+    assert counting.base_calls == len(memo.evaluator._memo) == 473
+    assert (memo.evaluator.metric_calls, memo.evaluator.uncharged_calls) == (5007, 2490)
+    assert (memo.evaluator.metric_calls, memo.evaluator.uncharged_calls) == (
+        plain.evaluator.metric_calls, plain.evaluator.uncharged_calls)
+    assert memo.ledger.total_charged() == plain.ledger.total_charged() == 5007
+    assert plain.evaluator._memo is None
+    assert memo.trace == plain.trace and memo.best == plain.best
+
+
+def test_memo_one_dispatch_generates_repeated_pairs_once(world, dataset_50, taxonomy, defective_seed):
+    backend = CountingSynthetic(world, dataset_50, taxonomy)
+    ev = Evaluator(backend, max_parallel=4)
+    ids = [item.id for item in dataset_50.train[:8]]
+    first, second = ev.evaluate_batches([defective_seed, defective_seed], dataset_50, ids,
+                                        charged=True)
+    assert first == second
+    assert backend.base_calls == 8
+    assert ev.metric_calls == 16
+
+
+def test_memo_key_is_the_whole_item(synthetic_backend, dataset_50, repaired_seed):
+    from vistaopt.domain import TaskItem
+
+    easy = dataset_50.train[0]
+    items = [TaskItem(id="q", question=easy.question, gold_answer=easy.gold_answer),
+             TaskItem(id="q", question=easy.question, gold_answer="wrong")]
+    records = Evaluator(synthetic_backend).evaluate_items(repaired_seed, items, charged=False)
+    assert [r.score for r in records] == [1, 0]
+
+
+def test_no_memo_without_deterministic(world, dataset_50, taxonomy, defective_seed):
+    backend = ForwardingBackend(SyntheticBackend(world, dataset_50, taxonomy, run_seed=0))
+    ev = Evaluator(backend, max_parallel=1)
+    ids = [item.id for item in dataset_50.train[:8]]
+    a = ev.evaluate_batches([defective_seed, defective_seed], dataset_50, ids, charged=True)
+    b = ev.evaluate_batches([defective_seed], dataset_50, ids, charged=False)
+    assert a[0] == a[1] == b[0]
+    assert backend.calls == 24
+    assert (ev.metric_calls, ev.uncharged_calls) == (16, 8)
+
+
+def test_memo_failed_dispatch_changes_no_counter_or_record(world, dataset_50, taxonomy,
+                                                           defective_seed):
+    backend = CountingSynthetic(world, dataset_50, taxonomy, fail_at=7)
+    ev = Evaluator(backend, max_parallel=1)
+    items = list(dataset_50.train[:8])
+    ev.evaluate_items(defective_seed, items[:4], charged=True)
+    before = dict(ev._memo)
+    with pytest.raises(RuntimeError, match="injected"):
+        ev.evaluate_items(defective_seed, items, charged=False)
+    assert backend.base_calls == 6
+    assert (ev.metric_calls, ev.uncharged_calls) == (4, 0)
+    assert ev._memo == before

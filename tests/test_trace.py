@@ -155,6 +155,32 @@ def test_trajectory_prefix_stability():
             assert child_path[:len(parent_path)] == parent_path
 
 
+def scan_trajectory(tree, node_id):
+    """Reference: walk to the root, scanning every edge at each step."""
+    path = []
+    current = node_id
+    while True:
+        incoming = next((e for e in tree.edges if e.to_id == current), None)
+        if incoming is None or incoming.from_id is None:
+            return path[::-1]
+        path.append(incoming)
+        current = incoming.from_id
+
+
+def test_trajectory_on_long_chain_matches_edge_scan():
+    tree = seed_tree()
+    for i in range(1, 2000):
+        tree.record_proposal(edge(i - 1, i, LABELS[i % 3], iteration=i), node(i, val=0.5))
+    tree.record_proposal(edge(1999, 2000, LABELS[0], status=REJECTED, iteration=2000),
+                         node(2000, correct=3))
+    reloaded = import_tree(export_tree(tree, "json"))
+    assert reloaded == tree
+    for t in (tree, reloaded):
+        for nid in (0, 1, 2, 999, 1999, 2000):
+            assert t.trajectory(nid) == scan_trajectory(t, nid)
+    assert len(reloaded.trajectory(2000)) == 2000
+
+
 def test_node_count_accounting():
     rng = random.Random(17)
     for _ in range(20):

@@ -1,5 +1,8 @@
-"""The one way run-directory files are written: JSON in a fixed format, and
-every file through a temporary file renamed over its target."""
+"""The two ways run-directory files are written.  A snapshot is indented JSON
+(or text) written to a temporary file renamed over its target.  The round
+journal is one compact JSON line per round, appended with one ``write`` to a
+file held open for the run and flushed before the next round starts.  Both
+formats are key-sorted, so identical data gives identical bytes."""
 
 from __future__ import annotations
 
@@ -9,9 +12,14 @@ from pathlib import Path
 
 
 def json_text(data) -> str:
-    """Indented, key-sorted JSON with a trailing newline, so identical data
-    gives identical bytes."""
+    """Indented, key-sorted JSON with a trailing newline: one snapshot."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def json_line(data) -> str:
+    """Compact, key-sorted JSON on one line with a trailing newline: one
+    journal record."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_atomic(path: Path, text: str) -> None:

@@ -61,7 +61,9 @@ class Backend(Protocol):
 
 class RoleRouter:
     """Dispatch requests to per-role backends, e.g. a synthetic base model
-    with HTTP-backed agents."""
+    with HTTP-backed agents.  The evaluator sends only base-role requests,
+    so the router declares ``in_process`` and ``deterministic`` as its
+    base-role backend does."""
 
     def __init__(self, default: Backend, **per_role: Backend):
         unknown = set(per_role) - set(ROLES)
@@ -69,6 +71,9 @@ class RoleRouter:
             raise ValueError(f"unknown roles: {sorted(unknown)}")
         self._default = default
         self._per_role = per_role
+        base = per_role.get("base", default)
+        self.in_process = getattr(base, "in_process", False)
+        self.deterministic = getattr(base, "deterministic", False)
 
     def generate(self, request: GenerationRequest) -> str:
         backend = self._per_role.get(request.role, self._default)

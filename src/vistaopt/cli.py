@@ -114,7 +114,7 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
             f"{name}={count}" for name, count in sorted(branches.items())))
     if branches.get("skipped"):
         print(f"warning: {branches['skipped']} round(s) skipped "
-              f"(see rounds/*.json logs)", file=sys.stderr)
+              "(see the logs in rounds.jsonl)", file=sys.stderr)
     print(f"artifacts in {out_dir}")
     return EXIT_OK
 

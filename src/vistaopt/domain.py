@@ -72,11 +72,6 @@ class PromptCandidate:
         scores = tuple(int(s) for s in scores)
         return replace(self, val_scores=scores, val_accuracy=sum(scores) / len(scores))
 
-    def check_invariants(self) -> None:
-        if self.val_scores is not None:
-            if self.val_accuracy != sum(self.val_scores) / len(self.val_scores):
-                raise ValueError(f"candidate {self.id}: val_accuracy out of sync")
-
 
 @dataclass(frozen=True)
 class Hypothesis:

@@ -22,11 +22,14 @@ for the fallback, plus the validation size when a winner is gated.
 Parent-baseline minibatch evaluations and look-ahead probes beyond the
 first are unmetered overhead, tracked on the evaluator's uncharged counter.
 
-Run directory: ``config.json`` is written when the run starts and
-``rounds/NNN.json`` as each round ends.  The state snapshots (``trace.*``,
-``pool.json``, ``ledger.json``) are written once, when the loop ends or when
-a round raises; ``best_prompt.txt`` only on success.  Every file is written
-to a temporary file in the same directory and renamed over its target.
+Run directory: ``config.json`` is written when the run starts.  The round
+journal ``rounds.jsonl`` is opened then too, and each round appends its
+outcome as one line, flushed before the next round starts; after a round
+raises it holds exactly the lines of the rounds before it.  The state
+snapshots (``trace.*``, ``pool.json``, ``ledger.json``) are written once,
+when the loop ends or when a round raises; ``best_prompt.txt`` only on
+success.  Every file but the journal is written to a temporary file in the
+same directory and renamed over its target.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .agents import (
     render_reflection_prompt,
     extract_rewritten_prompt,
 )
-from .artifacts import json_text, write_atomic
+from .artifacts import json_line, json_text, write_atomic
 from .backends.base import Backend, GenerationRequest
 from .domain import (
     BLANK_LABEL,
@@ -314,9 +317,11 @@ class OptimizationRun:
     # ------------------------------------------------------------- rounds
 
     def run(self) -> RunResult:
+        journal = None
         if self.out_dir is not None:
-            (self.out_dir / "rounds").mkdir(parents=True, exist_ok=True)
+            self.out_dir.mkdir(parents=True, exist_ok=True)
             write_atomic(self.out_dir / "config.json", json_text(self.resolved_config))
+            journal = open(self.out_dir / "rounds.jsonl", "w", encoding="utf-8")
         stalled = 0
         iteration = 0
         try:
@@ -324,9 +329,9 @@ class OptimizationRun:
                 iteration += 1
                 outcome = self.step_round(iteration)
                 self._apply(outcome)
-                if self.out_dir is not None:
-                    write_atomic(self.out_dir / "rounds" / f"{iteration:03d}.json",
-                                 json_text(outcome.to_dict()))
+                if journal is not None:
+                    journal.write(json_line(outcome.to_dict()))
+                    journal.flush()
                 if outcome.charge == 0:
                     stalled += 1
                     if stalled >= MAX_STALLED_ROUNDS:
@@ -335,6 +340,8 @@ class OptimizationRun:
                 else:
                     stalled = 0
         finally:
+            if journal is not None:
+                journal.close()
             self._write_snapshots()
         if self.out_dir is not None:
             write_atomic(self.out_dir / "best_prompt.txt", self.best.text)

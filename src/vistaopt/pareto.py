@@ -108,11 +108,3 @@ class ParetoPool:
             "score_matrix": [list(self.score_matrix[m]) for m in self.members],
             "win_counts": [counts[m] for m in self.members],
         }
-
-    def check_invariants(self) -> None:
-        for m in self.members:
-            if len(self.score_matrix[m]) != self.vector_length:
-                raise AssertionError("score vector length drifted")
-            for other in self.members:
-                if other != m and dominates(self.score_matrix[other], self.score_matrix[m]):
-                    raise AssertionError(f"member {m} is dominated by {other}")

@@ -33,11 +33,11 @@ class ReportBundle:
             raise AssertionError("best accuracy must be non-decreasing")
 
 
-def _load_json(run_dir: Path, name: str) -> dict:
+def _read_artifact(run_dir: Path, name: str) -> str:
     path = run_dir / name
     if not path.is_file():
         raise MissingArtifactsError(f"{name} not found in {run_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return path.read_text(encoding="utf-8")
 
 
 def load_trace(run_dir: str | Path) -> SemanticTraceTree:
@@ -48,12 +48,11 @@ def load_trace(run_dir: str | Path) -> SemanticTraceTree:
 
 
 def build_best_curve(run_dir: Path) -> list[tuple[int, float]]:
-    ledger = _load_json(run_dir, "ledger.json")
+    ledger = json.loads(_read_artifact(run_dir, "ledger.json"))
     trace = load_trace(run_dir)
-    # Order on the iteration, not the file name: 1000.json sorts before 101.json.
-    outcomes = sorted((json.loads(path.read_text(encoding="utf-8"))
-                       for path in (run_dir / "rounds").glob("*.json")),
-                      key=lambda outcome: outcome["iteration"])
+    # The journal's lines are in iteration order.
+    journal = _read_artifact(run_dir, "rounds.jsonl")
+    outcomes = [json.loads(line) for line in journal.splitlines()]
 
     seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
     best = seed_accuracy

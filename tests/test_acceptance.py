@@ -8,7 +8,7 @@ import time
 import pytest
 
 from test_http_backend import HYPOTHESIS_RESPONSE, StubServer, completion
-from test_pareto import non_dominated_subset
+from test_pareto import check_pool_invariants, non_dominated_subset
 from test_trace import bfs_depths, random_tree
 
 from vistaopt.agents import load_template, parse_hypotheses, render_hypothesis_prompt, render_reflection_prompt
@@ -156,7 +156,7 @@ def test_criterion_5_pareto_oracle():
         pool = ParetoPool(vector_length=length)
         for cid, vec in vectors.items():
             pool.try_insert(cid, vec)
-            pool.check_invariants()
+            check_pool_invariants(pool)
         oracle = non_dominated_subset(vectors)
         assert set(pool.members) <= oracle, trial
         assert {vectors[m] for m in pool.members} == {vectors[c] for c in oracle}, trial

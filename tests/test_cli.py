@@ -30,16 +30,21 @@ def run_dir_files(run_dir):
     return {p.name for p in Path(run_dir).iterdir()}
 
 
+def read_journal(run_dir):
+    text = (Path(run_dir) / "rounds.jsonl").read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    return [json.loads(line) for line in text.splitlines()]
+
+
 def test_optimize_writes_run_directory(config_file, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["optimize", str(config_file), "defective", str(out)])
     assert code == EXIT_OK
-    names = run_dir_files(out)
-    assert {"config.json", "trace.json", "trace.dot", "pool.json",
-            "ledger.json", "best_prompt.txt", "rounds"} <= names
+    assert run_dir_files(out) == {"config.json", "trace.json", "trace.dot", "pool.json",
+                                  "ledger.json", "best_prompt.txt", "rounds.jsonl"}
     assert "run complete" in capsys.readouterr().out
-    rounds = sorted((out / "rounds").glob("*.json"))
-    assert rounds and rounds[0].name == "001.json"
+    rounds = read_journal(out)
+    assert rounds and [r["iteration"] for r in rounds] == list(range(1, len(rounds) + 1))
 
 
 def test_optimize_missing_config(tmp_path):
@@ -108,6 +113,18 @@ def test_export_trace_missing_run(tmp_path):
 
 def test_report_missing_artifacts(tmp_path):
     assert main(["report", str(tmp_path)]) == EXIT_MISSING_ARTIFACTS
+
+
+@pytest.mark.parametrize("missing", ["ledger.json", "rounds.jsonl"])
+def test_report_missing_ledger_or_journal_exit_code(missing, config_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    (out / missing).unlink()
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_MISSING_ARTIFACTS
+    err = capsys.readouterr().err
+    assert err.startswith("missing artifacts:") and missing in err
+    assert not (out / "report.csv").exists()
 
 
 def test_optimize_transport_failure_exit_code(tmp_path, config_file):
@@ -180,7 +197,7 @@ def test_report_best_curve_zero_budget(tmp_path, config_file):
 
 
 def test_report_orders_rounds_past_999(tmp_path):
-    # 1,092 rounds: rounds/1000.json sorts before rounds/101.json by name.
+    # 1,092 rounds: the journal's line order is iteration order past 999.
     cfg = tmp_path / "long.json"
     cfg.write_text(json.dumps({
         "K": 1, "p": 0.3, "b": 1, "budget": 1400, "rng_seed": 0, "max_parallel": 1,
@@ -188,7 +205,7 @@ def test_report_orders_rounds_past_999(tmp_path):
     }), encoding="utf-8")
     out = tmp_path / "run"
     assert main(["optimize", str(cfg), "defective", str(out)]) == EXIT_OK
-    assert (out / "rounds" / "1000.json").is_file()
+    assert [r["iteration"] for r in read_journal(out)] == list(range(1, 1093))
     assert main(["report", str(out)]) == EXIT_OK
     ledger = json.loads((out / "ledger.json").read_text())
     cumulative = list(accumulate(c["amount"] for c in ledger["charges"] if c["amount"]))

@@ -160,10 +160,17 @@ def test_run_config_round_trip():
     assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
+def check_candidate_invariants(candidate: PromptCandidate) -> None:
+    """A scored candidate's accuracy is the mean of its validation scores."""
+    if candidate.val_scores is not None:
+        assert candidate.val_accuracy == sum(candidate.val_scores) / len(candidate.val_scores), (
+            f"candidate {candidate.id}: val_accuracy out of sync")
+
+
 def test_candidate_val_accuracy_consistency():
     cand = PromptCandidate(id=0, text="p").with_val_scores([1, 0, 1, 1])
     assert cand.val_accuracy == 3 / 4
-    cand.check_invariants()
+    check_candidate_invariants(cand)
 
 
 def test_dataset_rejects_duplicates_within_split():

@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+from test_domain import check_candidate_invariants
+
 from vistaopt import optimizer
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy
@@ -321,7 +323,7 @@ def test_run_store_lineage_invariants(dataset_50, taxonomy, defective_seed):
     backend = SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 1)
     result = run(config, dataset_50, taxonomy, backend, defective_seed)
     for candidate in result.candidates.values():
-        candidate.check_invariants()
+        check_candidate_invariants(candidate)
     # Lineage lives on the trace edges: every proposal's edge joins
     # candidates of this run, and only a blank restart has no parent.
     assert sorted(e.to_id for e in result.trace.edges) == sorted(
@@ -532,9 +534,9 @@ def test_crash_leaves_state_of_completed_rounds(fail_at, dataset_50, taxonomy, d
     completed = engine.outcomes
     assert len(completed) >= 3, "the failure should land a few rounds into the run"
 
-    round_files = sorted((out_dir / "rounds").iterdir())
-    assert [f.name for f in round_files] == [f"{o.iteration:03d}.json" for o in completed]
-    rounds = [json.loads(f.read_text(encoding="utf-8")) for f in round_files]
+    journal = (out_dir / "rounds.jsonl").read_text(encoding="utf-8")
+    assert journal.endswith("\n")
+    rounds = [json.loads(line) for line in journal.splitlines()]
     assert rounds == [o.to_dict() for o in completed]
 
     ledger = json.loads((out_dir / "ledger.json").read_text(encoding="utf-8"))
@@ -547,7 +549,7 @@ def test_crash_leaves_state_of_completed_rounds(fail_at, dataset_50, taxonomy, d
     assert pool["members"] == list(engine.pool.members)
     # No best_prompt.txt after a failure, and no temporary file left behind.
     assert sorted(f.name for f in out_dir.iterdir()) == [
-        "config.json", "ledger.json", "pool.json", "rounds", "trace.dot", "trace.json"]
+        "config.json", "ledger.json", "pool.json", "rounds.jsonl", "trace.dot", "trace.json"]
 
 
 def test_crash_in_first_validation_gate_leaves_seed_state(dataset_50, taxonomy, defective_seed):

@@ -17,6 +17,16 @@ def non_dominated_subset(vectors: dict[int, tuple[int, ...]]) -> set[int]:
     return keep
 
 
+def check_pool_invariants(pool: ParetoPool) -> None:
+    """Every member's vector has the pool's length, and no member is
+    dominated by another."""
+    for m in pool.members:
+        assert len(pool.score_matrix[m]) == pool.vector_length, "score vector length drifted"
+        for other in pool.members:
+            assert other == m or not dominates(pool.score_matrix[other], pool.score_matrix[m]), (
+                f"member {m} is dominated by {other}")
+
+
 def pool_of(*vectors):
     pool = ParetoPool(vector_length=len(vectors[0]))
     for cid, vec in enumerate(vectors):
@@ -75,7 +85,7 @@ def test_randomized_inserts_match_bruteforce_oracle():
         pool = ParetoPool(vector_length=length)
         for cid, vec in vectors.items():
             pool.try_insert(cid, vec)
-        pool.check_invariants()
+        check_pool_invariants(pool)
         survivors = {m: vectors[m] for m in pool.members}
         # every survivor is non-dominated within the full insertion history
         assert set(pool.members) <= non_dominated_subset(vectors)

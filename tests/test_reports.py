@@ -4,7 +4,7 @@ import pytest
 
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt
-from vistaopt.errors import MissingTraceError
+from vistaopt.errors import MissingArtifactsError, MissingTraceError
 from vistaopt.optimizer import run
 from vistaopt.reports import (
     ReportBundle,
@@ -89,6 +89,13 @@ def test_report_bundle_invariant_violations_detected():
     stuck = ReportBundle(best_curve=[(5, 0.5), (5, 0.6)], attribution_histogram={})
     with pytest.raises(AssertionError):
         stuck.check_invariants()
+
+
+@pytest.mark.parametrize("missing", ["ledger.json", "rounds.jsonl"])
+def test_build_report_raises_missing_artifacts(missing, run_dir, taxonomy):
+    (run_dir / missing).unlink()
+    with pytest.raises(MissingArtifactsError, match=missing):
+        build_report(run_dir, taxonomy)
 
 
 def test_load_trace_missing(tmp_path):

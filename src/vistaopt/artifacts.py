@@ -1,8 +1,7 @@
-"""The two ways run-directory files are written.  A snapshot is indented JSON
-(or text) written to a temporary file renamed over its target.  The round
-journal is one compact JSON line per round, appended with one ``write`` to a
-file held open for the run and flushed before the next round starts.  Both
-formats are key-sorted, so identical data gives identical bytes."""
+"""The two ways run-directory files are written, both key-sorted so that
+identical data gives identical bytes: a snapshot is indented JSON (or text)
+renamed over its target from a temporary file, and the round journal gets
+one compact JSON line per round, appended with one write and flushed."""
 
 from __future__ import annotations
 
@@ -17,8 +16,7 @@ def json_text(data) -> str:
 
 
 def json_line(data) -> str:
-    """Compact, key-sorted JSON on one line with a trailing newline: one
-    journal record."""
+    """Compact, key-sorted JSON on one line, newline-terminated: one record."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 

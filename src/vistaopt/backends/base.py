@@ -61,9 +61,8 @@ class Backend(Protocol):
 
 class RoleRouter:
     """Dispatch requests to per-role backends, e.g. a synthetic base model
-    with HTTP-backed agents.  The evaluator sends only base-role requests,
-    so the router declares ``in_process`` and ``deterministic`` as its
-    base-role backend does."""
+    with HTTP-backed agents.  The evaluator sends it only base-role requests,
+    so it declares ``in_process`` and ``deterministic`` as that backend does."""
 
     def __init__(self, default: Backend, **per_role: Backend):
         unknown = set(per_role) - set(ROLES)

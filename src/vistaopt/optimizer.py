@@ -22,14 +22,12 @@ for the fallback, plus the validation size when a winner is gated.
 Parent-baseline minibatch evaluations and look-ahead probes beyond the
 first are unmetered overhead, tracked on the evaluator's uncharged counter.
 
-Run directory: ``config.json`` is written when the run starts.  The round
-journal ``rounds.jsonl`` is opened then too, and each round appends its
-outcome as one line, flushed before the next round starts; after a round
-raises it holds exactly the lines of the rounds before it.  The state
-snapshots (``trace.*``, ``pool.json``, ``ledger.json``) are written once,
-when the loop ends or when a round raises; ``best_prompt.txt`` only on
-success.  Every file but the journal is written to a temporary file in the
-same directory and renamed over its target.
+Run directory: ``config.json`` is written when the run starts, and one line
+of the journal ``rounds.jsonl`` as each round ends.  The state snapshots
+(``trace.*``, ``pool.json``, ``ledger.json``) are written once, when the
+loop ends or when a round raises, so they and the journal then hold the
+rounds before it; ``best_prompt.txt`` only on success.  ``artifacts``
+defines how each file is written.
 """
 
 from __future__ import annotations
@@ -342,8 +340,8 @@ class OptimizationRun:
         finally:
             if journal is not None:
                 journal.close()
-            self._write_snapshots()
-        if self.out_dir is not None:
+                self._write_snapshots()
+        if journal is not None:
             write_atomic(self.out_dir / "best_prompt.txt", self.best.text)
         return RunResult(
             best=self.best,
@@ -510,8 +508,6 @@ class OptimizationRun:
         """Write the trace, pool and ledger once per run.  Only ``_apply``
         changes them, after a round is decided, so after a round raises
         these hold the state of the rounds before it."""
-        if self.out_dir is None:
-            return
         write_atomic(self.out_dir / "trace.json", export_tree(self.trace, "json"))
         write_atomic(self.out_dir / "trace.dot", export_tree(self.trace, "dot"))
         write_atomic(self.out_dir / "pool.json", json_text(self.pool.snapshot()))

@@ -1,17 +1,31 @@
-"""Chat-completions HTTP client with bounded retry and exponential backoff.
+"""Chat-completions HTTP client with bounded retry and jittered backoff.
 
 Speaks the ubiquitous wire shape (model, messages, sampling fields) with
 bearer-token auth from an environment variable; the base URL covers both
 hosted APIs and local servers.
+
+Transport: each attempt opens one connection and closes it once the body is
+read.  The backend picks how once, at construction.  A plain ``http://``
+URL to which ``requests`` would add nothing from the environment (no proxy
+from ``*_proxy``/``NO_PROXY``, no netrc entry, no credentials in the URL) is
+posted with the standard library's ``http.client``, sending the body bytes
+and headers ``requests`` would send, at about a quarter of its client CPU.
+HTTPS, proxied and netrc URLs go through ``requests.post``, which brings
+the CA bundle, proxy and netrc handling; it reads the environment per call.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
+import random
 import threading
 import time
 import warnings
+import zlib
+from urllib.parse import urlsplit
 
 import requests
 
@@ -24,6 +38,23 @@ API_KEY_ENV = "VISTAOPT_API_KEY"
 BASE_URL_ENV = "VISTAOPT_BASE_URL"
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
+RETRY_AFTER_STATUS = (429, 503)
+
+
+def _direct_route(url: str) -> tuple[str, int | None, str] | None:
+    """Host, port and request target of ``url`` as ``requests`` would send
+    it, when that is a plain ``http://`` request it would add nothing to from
+    the environment or from credentials in the URL; else None."""
+    try:
+        prepared = requests.Request("POST", url).prepare()
+    except requests.RequestException:
+        return None
+    parts = urlsplit(prepared.url)
+    if (parts.scheme != "http" or parts.username is not None
+            or requests.utils.get_environ_proxies(prepared.url)
+            or requests.utils.get_netrc_auth(prepared.url) is not None):
+        return None
+    return parts.hostname, parts.port, prepared.path_url
 
 
 class HttpBackend:
@@ -57,6 +88,15 @@ class HttpBackend:
         self.requests_sent = 0
         self.retries = 0
         self._lock = threading.Lock()
+        self._url = f"{self.base_url}/chat/completions"
+        self._headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        self._route = _direct_route(self._url)
+        # requests' defaults, with the encodings ``_post`` decodes (requests
+        # adds br and zstd when their packages are installed).
+        self._direct_headers = {**requests.utils.default_headers(),
+                                "Accept-Encoding": "gzip, deflate", **self._headers}
 
     @classmethod
     def from_config(cls, section: dict) -> "HttpBackend":
@@ -83,42 +123,75 @@ class HttpBackend:
             body.update(wire_extras)
         return body
 
+    def _post(self, body: dict) -> tuple[int, str | None, bytes]:
+        """One attempt: status, Retry-After header and decoded body bytes."""
+        if self._route is None:
+            response = requests.post(self._url, json=body, headers=self._headers,
+                                     timeout=self.timeout)
+            return response.status_code, response.headers.get("Retry-After"), response.content
+        host, port, target = self._route
+        connection = http.client.HTTPConnection(host, port, timeout=self.timeout)
+        try:
+            connection.request("POST", target, json.dumps(body, allow_nan=False).encode(),
+                               self._direct_headers)
+            response = connection.getresponse()
+            content = response.read()
+        finally:
+            connection.close()
+        if response.getheader("Content-Encoding", "").lower() in ("gzip", "deflate"):
+            content = zlib.decompress(content, zlib.MAX_WBITS | 32)  # gzip or zlib wrapper
+        return response.status, response.getheader("Retry-After"), content
+
+    def _retry_delay(self, retry: int, retry_after: str | None) -> float:
+        """Seconds before retry number ``retry``: a Retry-After given in
+        seconds, capped at the timeout (RFC 9110 §10.2.3), else full-jitter
+        exponential backoff.  Timing only, so not drawn from a run stream."""
+        try:
+            seconds = float(retry_after)
+        except (TypeError, ValueError):  # absent, or an HTTP-date
+            seconds = -1.0
+        if seconds >= 0:  # false for NaN
+            return min(seconds, self.timeout)
+        return random.uniform(0, self.backoff_base * 2 ** (retry - 1))
+
     def generate(self, request: GenerationRequest) -> str:
-        url = f"{self.base_url}/chat/completions"
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         body = self._body(request)
         last_error: Exception | None = None
+        retry_after: str | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
-                delay = self.backoff_base * 2 ** (attempt - 1)
-                time.sleep(delay)
+                time.sleep(self._retry_delay(attempt, retry_after))
                 with self._lock:
                     self.retries += 1
+            retry_after = None
             try:
                 with self._lock:
                     self.requests_sent += 1
-                response = requests.post(url, json=body, headers=headers,
-                                         timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, header, content = self._post(body)
+            # requests wraps a bad header value or a non-JSON body (ValueError)
+            # and an undecodable body (zlib.error) as RequestException.
+            except (requests.RequestException, OSError, http.client.HTTPException,
+                    ValueError, zlib.error) as exc:
                 last_error = exc
                 logger.warning("transport error (attempt %d): %s", attempt + 1, exc)
                 continue
-            if response.status_code in RETRYABLE_STATUS:
-                last_error = TransportFailureError(
-                    f"server returned {response.status_code}")
-                logger.warning("retryable status %d (attempt %d)",
-                               response.status_code, attempt + 1)
+            if status in RETRYABLE_STATUS:
+                last_error = TransportFailureError(f"server returned {status}")
+                logger.warning("retryable status %d (attempt %d)", status, attempt + 1)
+                if status in RETRY_AFTER_STATUS:
+                    retry_after = header
                 continue
-            if response.status_code >= 400:
+            if status >= 400:
                 raise TransportFailureError(
-                    f"request failed with status {response.status_code}: "
-                    f"{response.text[:200]}")
+                    f"request failed with status {status}: "
+                    f"{content.decode('utf-8', 'replace')[:200]}")
             try:
-                payload = response.json()
-                return payload["choices"][0]["message"]["content"]
+                text = json.loads(content)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise TransportFailureError(f"malformed completion body: {exc}") from exc
+            if not isinstance(text, str):
+                raise TransportFailureError(
+                    f"malformed completion body: content is {type(text).__name__}")
+            return text
         raise TransportFailureError(
             f"gave up after {self.max_retries + 1} attempts: {last_error}")

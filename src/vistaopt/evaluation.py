@@ -182,6 +182,17 @@ def score_output(item: "TaskItem", raw: str) -> EvaluationRecord:
     )
 
 
+def generate_in_order(backend: Backend, requests: Sequence[GenerationRequest],
+                      max_parallel: int) -> list[str]:
+    """Response texts for ``requests``, in request order.  They are generated
+    concurrently up to ``max_parallel``, or serially for a backend that
+    declares ``in_process``, where threads cost more than the work."""
+    if max_parallel > 1 and len(requests) > 1 and not getattr(backend, "in_process", False):
+        with ThreadPoolExecutor(max_workers=max_parallel) as pool:
+            return list(pool.map(backend.generate, requests))
+    return [backend.generate(request) for request in requests]
+
+
 class Evaluator:
     """Runs prompts over task items through a generation backend and keeps
     the charged/uncharged metric-call counters the ledger is checked
@@ -212,12 +223,7 @@ class Evaluator:
         requests = [GenerationRequest(role="base",
                                       messages=(("system", text), ("user", item.question)))
                     for text, item in tasks]
-        if (self.max_parallel > 1 and len(requests) > 1
-                and not getattr(self.backend, "in_process", False)):
-            with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-                raws = list(pool.map(self.backend.generate, requests))
-        else:
-            raws = [self.backend.generate(request) for request in requests]
+        raws = generate_in_order(self.backend, requests, self.max_parallel)
         return [score_output(item, raw) for (_text, item), raw in zip(tasks, raws)]
 
     def _dispatch(self, tasks: Sequence[tuple[str, "TaskItem"]], *,

@@ -63,6 +63,7 @@ from .evaluation import (
     MinibatchResult,
     collect_failures,
     delta_acc,
+    generate_in_order,
     sample_minibatch,
 )
 from .pareto import ParetoPool
@@ -183,9 +184,10 @@ class RunResult:
 
 
 class OptimizationRun:
-    """Single-coordinator run state; the only concurrency is inside the
-    evaluator, which merges in fixed order, so every run is a pure function
-    of (config, dataset, seed)."""
+    """Single-coordinator run state.  The only concurrency is in the
+    generation of the evaluator's grids and of a round's K reflections, both
+    merged in request order, so every run is a pure function of (config,
+    dataset, seed)."""
 
     def __init__(
         self,
@@ -236,13 +238,16 @@ class OptimizationRun:
 
     # ------------------------------------------------------------ helpers
 
-    def _reflect(self, parent_text: str, hypothesis: Hypothesis,
-                 failures: list[FailureCase]) -> str:
+    def _reflection_request(self, parent_text: str, hypothesis: Hypothesis,
+                            failures: list[FailureCase]) -> GenerationRequest:
         prompt = render_reflection_prompt(
             self.reflection_template, parent_text, hypothesis, failures)
-        response = self.backend.generate(
-            GenerationRequest(role="reflection_agent", messages=(("user", prompt),)))
-        return extract_rewritten_prompt(response)
+        return GenerationRequest(role="reflection_agent", messages=(("user", prompt),))
+
+    def _reflect(self, parent_text: str, hypothesis: Hypothesis,
+                 failures: list[FailureCase]) -> str:
+        return extract_rewritten_prompt(
+            self.backend.generate(self._reflection_request(parent_text, hypothesis, failures)))
 
     def _verify(self, outcome: RoundOutcome, parent_result: MinibatchResult,
                 slots: list[tuple[int, str, str, str]]) -> ProposalRecord | None:
@@ -417,10 +422,16 @@ class OptimizationRun:
         if malformed:
             outcome.log.append(f"{malformed} malformed hypothesis block(s) dropped.")
 
+        # The K reflections are generated together; their rewrites are read
+        # in slot order, so the outcome does not depend on the schedule.
+        responses = generate_in_order(
+            self.backend,
+            [self._reflection_request(parent.text, hyp, failures) for hyp in hypotheses],
+            cfg.max_parallel)
         slots: list[tuple[int, str, str, str]] = []
-        for slot, hyp in enumerate(hypotheses):
+        for slot, (hyp, response) in enumerate(zip(hypotheses, responses)):
             try:
-                rewrite = self._reflect(parent.text, hyp, failures)
+                rewrite = extract_rewritten_prompt(response)
             except EmptyRewriteError:
                 outcome.log.append(f"Slot {slot} produced an empty rewrite; slot dropped.")
                 continue

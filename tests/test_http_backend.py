@@ -1,10 +1,13 @@
+import gzip
 import json
+import socket
 import threading
 import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from vistaopt.backends.base import GenerationRequest, RoleRouter
 from vistaopt.backends.http import HttpBackend
@@ -21,9 +24,11 @@ def completion(content):
 
 class StubServer:
     """Recorded-response chat-completions stub.  The script is a list of
-    (status, payload) pairs consumed one per POST; the last entry repeats.
-    Each request is served on its own thread after ``delay`` seconds, and
-    ``in_flight_max`` records the most requests served at once.
+    (status, payload) or (status, payload, headers) entries consumed one per
+    POST; the last entry repeats.  A ``bytes`` payload is sent as it is,
+    any other as JSON.  Each request is served on its own thread after
+    ``delay`` seconds, and ``in_flight_max`` records the most requests
+    served at once.
     """
 
     def __init__(self, script, delay=0.0):
@@ -38,12 +43,14 @@ class StubServer:
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length)) if length else {}
+                raw = self.rfile.read(length)
                 with stub._lock:
                     index = len(stub.requests)
                     stub.requests.append({
                         "path": self.path,
-                        "body": body,
+                        "raw": raw,
+                        "body": json.loads(raw) if length else {},
+                        "headers": dict(self.headers),
                         "auth": self.headers.get("Authorization"),
                     })
                     stub.in_flight += 1
@@ -51,11 +58,13 @@ class StubServer:
                 time.sleep(stub.delay)
                 with stub._lock:
                     stub.in_flight -= 1
-                status, payload = stub.script[min(index, len(stub.script) - 1)]
-                data = json.dumps(payload).encode()
+                status, payload, *extra = stub.script[min(index, len(stub.script) - 1)]
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -116,6 +125,90 @@ def test_client_error_not_retried():
         with pytest.raises(TransportFailureError):
             backend.generate(agent_request())
         assert backend.requests_sent == 1
+
+
+@pytest.mark.parametrize("content", [None, ["part"], 7])
+def test_non_string_content_is_a_transport_failure(content):
+    # OpenAI-compatible servers answer reasoning or tool-call turns with
+    # "content": null; that must end the run as a transport failure.
+    with StubServer([(200, completion(content))]) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        with pytest.raises(TransportFailureError, match="malformed completion body"):
+            backend.generate(agent_request())
+        assert backend.requests_sent == 1
+
+
+def test_direct_transport_sends_what_requests_sends(monkeypatch):
+    request = agent_request("héllo")
+    with StubServer([(200, completion("x"))]) as stub:
+        backend = HttpBackend(base_url=stub.base_url, api_key="k", backoff_base=0.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(requests, "post", None)  # a plain http:// URL never reaches it
+            assert backend.generate(request) == "x"
+        requests.post(f"{stub.base_url}/chat/completions", json=stub.requests[0]["body"],
+                      headers={"Content-Type": "application/json", "Authorization": "Bearer k"},
+                      timeout=10)
+    direct, reference = stub.requests
+    assert direct["raw"] == reference["raw"]
+    assert direct["headers"] == reference["headers"]
+    assert direct["path"] == reference["path"] == "/v1/chat/completions"
+
+
+def test_direct_transport_decodes_gzip():
+    body = gzip.compress(json.dumps(completion("zipped")).encode())
+    with StubServer([(200, body, {"Content-Encoding": "gzip"})]) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        assert backend.generate(agent_request()) == "zipped"
+
+
+def test_connection_refused_is_retried_then_fails():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    backend = HttpBackend(base_url=f"http://127.0.0.1:{port}/v1", max_retries=2,
+                          backoff_base=0.0)
+    with pytest.raises(TransportFailureError, match="gave up after 3 attempts"):
+        backend.generate(agent_request())
+    assert backend.requests_sent == 3 and backend.retries == 2
+
+
+def test_proxy_from_the_environment_is_honoured(monkeypatch):
+    for name in ("NO_PROXY", "no_proxy", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    with StubServer([(200, completion("via proxy"))]) as stub:
+        host, port = stub.server.server_address
+        monkeypatch.setenv("HTTP_PROXY", f"http://{host}:{port}")
+        backend = HttpBackend(base_url="http://model.invalid/v1", backoff_base=0.0)
+        assert backend.generate(agent_request()) == "via proxy"
+    assert stub.requests[0]["path"] == "http://model.invalid/v1/chat/completions"
+
+
+@pytest.mark.parametrize("status, retry_after, timeout, least", [
+    (503, "0.2", 120.0, 0.2),
+    (429, "3600", 0.3, 0.3),  # capped at the backend's timeout
+])
+def test_retry_after_seconds_are_honoured(status, retry_after, timeout, least):
+    script = [(status, {}, {"Retry-After": retry_after}), (200, completion("ok"))]
+    with StubServer(script) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0, timeout=timeout)
+        start = time.monotonic()
+        assert backend.generate(agent_request()) == "ok"
+        elapsed = time.monotonic() - start
+    assert least <= elapsed < least + 2.0
+
+
+def test_retry_after_date_falls_back_to_full_jitter_backoff(monkeypatch):
+    draws = []
+    monkeypatch.setattr("random.uniform", lambda low, high: draws.append((low, high)) or 0.0)
+    script = [(503, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+              (500, {}, {"Retry-After": "5"}),  # only 429 and 503 carry a Retry-After
+              (200, completion("ok"))]
+    with StubServer(script) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.25)
+        start = time.monotonic()
+        assert backend.generate(agent_request()) == "ok"
+        assert time.monotonic() - start < 1.0
+    assert draws == [(0, 0.25), (0, 0.5)]
 
 
 def test_qwen_base_sampling_defaults():

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import threading
+import time
 
 import pytest
 
@@ -365,6 +367,91 @@ def test_parallelism_does_not_change_results(dataset_50, taxonomy, defective_see
 
     a, b = with_parallel(1), with_parallel(4)
     assert [o.to_dict() for o in a.outcomes] == [o.to_dict() for o in b.outcomes]
+
+
+class SlowReflections:
+    """Forwarding wrapper without declarations: each reflection call sleeps
+    a few ms, and ``in_flight_max`` records the most in flight at once.  A
+    reflection whose prompt contains ``empty_if`` gets a blank reply."""
+
+    def __init__(self, inner, empty_if=None):
+        self.inner = inner
+        self.empty_if = empty_if
+        self.in_flight = 0
+        self.in_flight_max = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        if request.role != "reflection_agent":
+            return self.inner.generate(request)
+        with self._lock:
+            self.in_flight += 1
+            self.in_flight_max = max(self.in_flight_max, self.in_flight)
+        try:
+            time.sleep(0.005)
+            if self.empty_if is not None and self.empty_if in request.text():
+                return "   "
+            return self.inner.generate(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class InProcessSlowReflections(SlowReflections):
+    in_process = True
+
+
+def test_reflections_are_generated_concurrently_up_to_max_parallel(dataset_50, taxonomy,
+                                                                   defective_seed):
+    def traced_run(wrapper, max_parallel):
+        backend = wrapper(SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 2))
+        config = RunConfig(K=3, rng_seed=2, budget=150, max_parallel=max_parallel)
+        result = run(config, dataset_50, taxonomy, backend, defective_seed)
+        assert any(o.branch == BRANCH_HYPOTHESES for o in result.outcomes)
+        return backend.in_flight_max, result
+
+    serial_peak, serial = traced_run(SlowReflections, 1)
+    pooled_peak, pooled = traced_run(SlowReflections, 2)
+    in_process_peak, in_process = traced_run(InProcessSlowReflections, 2)
+    assert (serial_peak, pooled_peak, in_process_peak) == (1, 2, 1)
+    for result in (pooled, in_process):
+        assert [o.to_dict() for o in result.outcomes] == [o.to_dict() for o in serial.outcomes]
+        assert result.trace == serial.trace
+        assert result.ledger.total_charged() == result.evaluator.metric_calls
+
+
+def test_concurrent_empty_rewrite_drops_only_its_slot(small_dataset):
+    def first_round(max_parallel):
+        backend = SlowReflections(
+            ScriptedBackend(small_dataset, ["0.40", "0.45", "0.50"]), empty_if="set-skill=0.45")
+        config = RunConfig(K=3, p=0.0, epsilon=0.0, b=10, budget=30, rng_seed=0,
+                           max_parallel=max_parallel)
+        result = run(config, small_dataset, default_taxonomy(), backend,
+                     "seed prompt skill:0.30")
+        return result.outcomes[0]
+
+    serial, pooled = first_round(1), first_round(3)
+    assert pooled.to_dict() == serial.to_dict()
+    assert [p.slot for p in pooled.proposals] == [0, 2]
+    assert pooled.log == ["Slot 1 produced an empty rewrite; slot dropped.",
+                          f"Selected slot 2 [{TAGS[2]}]. Candidate accepted."]
+
+
+def test_concurrent_reflection_failure_leaves_seed_state(dataset_50, taxonomy, defective_seed):
+    class FailingReflection(SlowReflections):
+        def generate(self, request):
+            if request.role == "reflection_agent" and "Root cause label: " + TAGS[1] in request.text():
+                raise TransportFailureError("injected reflection failure")
+            return super().generate(request)
+
+    backend = FailingReflection(ScriptedBackend(dataset_50, ["0.40", "0.45", "0.50"]))
+    engine = OptimizationRun(RunConfig(K=3, p=0.0, epsilon=0.0, budget=500, max_parallel=3),
+                             dataset_50, taxonomy, backend, "seed prompt skill:0.30")
+    with pytest.raises(TransportFailureError):
+        engine.run()
+    assert engine.evaluator.metric_calls == 0
+    assert set(engine.candidates) == set(engine.trace.nodes) == {0}
+    assert engine.ledger.charges == [] and engine.outcomes == []
 
 
 # ------------------------------------------------------------- anomalies

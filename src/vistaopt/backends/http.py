@@ -4,14 +4,16 @@ Speaks the ubiquitous wire shape (model, messages, sampling fields) with
 bearer-token auth from an environment variable; the base URL covers both
 hosted APIs and local servers.
 
-Transport: each attempt opens one connection and closes it once the body is
-read.  The backend picks how once, at construction.  A plain ``http://``
-URL to which ``requests`` would add nothing from the environment (no proxy
-from ``*_proxy``/``NO_PROXY``, no netrc entry, no credentials in the URL) is
-posted with the standard library's ``http.client``, sending the body bytes
-and headers ``requests`` would send, at about a quarter of its client CPU.
-HTTPS, proxied and netrc URLs go through ``requests.post``, which brings
-the CA bundle, proxy and netrc handling; it reads the environment per call.
+Transport: picked once, at construction.  A plain ``http://`` URL to which
+``requests`` would add nothing from the environment (no proxy from
+``*_proxy``/``NO_PROXY``, no netrc entry, no credentials in the URL) is
+posted with ``http.client``, sending the body bytes and headers ``requests``
+would, at a quarter of its client CPU, on kept-alive connections: one per
+concurrent caller until ``close()``; one closed while idle is replaced once,
+not as a retry.  ``TCP_QUICKACK`` before each reply spares a server that
+sends headers and body apart with Nagle on (RFC 896) a ~40 ms wait for the
+delayed ACK (RFC 1122 §4.2.3.2); without it a connection serves one reply.
+HTTPS, proxied and netrc URLs go through ``requests.post``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import logging
 import os
 import random
+import socket
 import threading
 import time
 import warnings
@@ -93,6 +96,8 @@ class HttpBackend:
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
         self._route = _direct_route(self._url)
+        self._keep_alive = hasattr(socket, "TCP_QUICKACK")
+        self._idle: list[http.client.HTTPConnection] = []
         # requests' defaults, with the encodings ``_post`` decodes (requests
         # adds br and zstd when their packages are installed).
         self._direct_headers = {**requests.utils.default_headers(),
@@ -129,18 +134,43 @@ class HttpBackend:
             response = requests.post(self._url, json=body, headers=self._headers,
                                      timeout=self.timeout)
             return response.status_code, response.headers.get("Retry-After"), response.content
-        host, port, target = self._route
-        connection = http.client.HTTPConnection(host, port, timeout=self.timeout)
+        payload = json.dumps(body, allow_nan=False).encode()
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
         try:
-            connection.request("POST", target, json.dumps(body, allow_nan=False).encode(),
-                               self._direct_headers)
-            response = connection.getresponse()
+            try:
+                response = self._exchange(connection, payload) if connection else None
+            except (ConnectionResetError, BrokenPipeError):  # closed while idle: resend once
+                connection.close()
+                response = None
+            if response is None:
+                connection = http.client.HTTPConnection(*self._route[:2], timeout=self.timeout)
+                response = self._exchange(connection, payload)
             content = response.read()
-        finally:
+        except BaseException:
+            if connection is not None:
+                connection.close()
+            raise
+        if self._keep_alive and not response.will_close:
+            with self._lock:
+                self._idle.append(connection)
+        else:
             connection.close()
         if response.getheader("Content-Encoding", "").lower() in ("gzip", "deflate"):
             content = zlib.decompress(content, zlib.MAX_WBITS | 32)  # gzip or zlib wrapper
         return response.status, response.getheader("Retry-After"), content
+
+    def _exchange(self, connection, payload: bytes) -> http.client.HTTPResponse:
+        connection.request("POST", self._route[2], payload, self._direct_headers)
+        if self._keep_alive:  # the kernel clears it again, so set it per reply
+            connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+        return connection.getresponse()
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._lock:
+            while self._idle:
+                self._idle.pop().close()
 
     def _retry_delay(self, retry: int, retry_after: str | None) -> float:
         """Seconds before retry number ``retry``: a Retry-After given in

@@ -56,6 +56,7 @@ def _build_dataset(section: dict | None):
 def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
                  backend_kind: str = "synthetic", mode: str | None = None,
                  seed: int | None = None) -> int:
+    backend = None
     try:
         file_config = load_config_file(config_path)
         if mode is not None:
@@ -105,6 +106,9 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
     except (ValueError, VistaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()
     print(f"run complete: best val accuracy "
           f"{result.best.val_accuracy:.4f} after {len(result.outcomes)} rounds "
           f"({result.evaluator.metric_calls} metric calls)")

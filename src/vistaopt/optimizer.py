@@ -22,18 +22,19 @@ for the fallback, plus the validation size when a winner is gated.
 Parent-baseline minibatch evaluations and look-ahead probes beyond the
 first are unmetered overhead, tracked on the evaluator's uncharged counter.
 
-Run directory: ``config.json`` is written when the run starts, and one line
-of the journal ``rounds.jsonl`` as each round ends.  The state snapshots
-(``trace.*``, ``pool.json``, ``ledger.json``) are written once, when the
-loop ends or when a round raises, so they and the journal then hold the
-rounds before it; ``best_prompt.txt`` only on success.  ``artifacts``
-defines how each file is written.
+Run directory: ``config.json`` is written when the run starts, and a
+round's line of the journal ``rounds.jsonl`` just before it is applied.
+The state snapshots (``trace.*``, ``pool.json``, ``ledger.json``) are
+written once, when the loop ends or when a round raises, so they and the
+journal then hold the rounds before it; ``best_prompt.txt`` only on
+success.  ``artifacts`` defines how each file is written.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,7 +98,8 @@ MAX_STALLED_ROUNDS = 200
 
 def expected_rounds(beta: float) -> float:
     """Expected rounds until the true root cause is first identified under
-    geometric trials with per-round success probability beta."""
+    geometric trials with per-round success probability beta.  Deprecated."""
+    warnings.warn("expected_rounds is deprecated", DeprecationWarning, stacklevel=2)
     if beta <= 0:
         raise NonPositiveBetaError(f"beta must be positive, got {beta}")
     if beta > 1:
@@ -273,15 +275,17 @@ class OptimizationRun:
         if winner is not None:
             outcome.winner = winner.candidate_id
             outcome.winner_label = winner.label
-            outcome.winner_val_scores = tuple(r.score for r in self.evaluator.evaluate_items(
+            outcome.winner_val_scores = scores = tuple(r.score for r in self.evaluator.evaluate_items(
                 outcome.texts[winner.candidate_id - first_id], self.dataset.val, charged=True))
+            outcome.pool_accepted = self.pool.admits(scores)
+            outcome.best_updated = sum(scores) / len(scores) > self.best.val_accuracy
         return winner
 
     def _apply(self, outcome: RoundOutcome) -> None:
         """Commit a decided round: the only place that changes the candidates,
         the pool, the best candidate, the trace, the ledger and the outcomes.
-        The winner's two gates are independent: pool insertion, and a strict
-        best-so-far update.  A restart's proposal starts a new root."""
+        ``_verify`` decided the winner's two independent gates: pool admission,
+        and a strict best-so-far update.  A restart's proposal starts a new root."""
         parent = self.candidates[outcome.parent_id]
         from_id = None if outcome.branch == BRANCH_RESTART else parent.id
         for record, text in zip(outcome.proposals, outcome.texts):
@@ -289,11 +293,10 @@ class OptimizationRun:
             accepted = candidate.id == outcome.winner
             if accepted:
                 candidate = candidate.with_val_scores(outcome.winner_val_scores)
-                outcome.pool_accepted = self.pool.try_insert(
-                    candidate.id, candidate.val_scores).accepted
-                if candidate.val_accuracy > self.best.val_accuracy:
+                if outcome.pool_accepted:
+                    self.pool.try_insert(candidate.id, candidate.val_scores)
+                if outcome.best_updated:
                     self.best = candidate
-                    outcome.best_updated = True
             self.candidates[candidate.id] = candidate
             self.trace.record_proposal(
                 TraceEdge(
@@ -331,10 +334,10 @@ class OptimizationRun:
             while self.ledger.remaining > 0:
                 iteration += 1
                 outcome = self.step_round(iteration)
-                self._apply(outcome)
                 if journal is not None:
                     journal.write(json_line(outcome.to_dict()))
                     journal.flush()
+                self._apply(outcome)
                 if outcome.charge == 0:
                     stalled += 1
                     if stalled >= MAX_STALLED_ROUNDS:

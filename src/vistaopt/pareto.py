@@ -49,14 +49,20 @@ class ParetoPool:
             raise LengthMismatchError(
                 f"vector length {len(vector)} != pool length {self.vector_length}")
 
+    def _dominator(self, vector: tuple[int, ...]) -> int | None:
+        self._check_length(vector)
+        return next((m for m in self.members if dominates(self.score_matrix[m], vector)), None)
+
+    def admits(self, vector: list[int] | tuple[int, ...]) -> bool:
+        """Whether ``try_insert`` would accept ``vector``; changes nothing."""
+        return self._dominator(tuple(int(v) for v in vector)) is None
+
     def try_insert(self, candidate_id: int, vector: list[int] | tuple[int, ...]) -> InsertOutcome:
         """Reject iff some member dominates the candidate; on accept, insert
         and evict every member the candidate dominates."""
         vector = tuple(int(v) for v in vector)
-        self._check_length(vector)
-        for member in self.members:
-            if dominates(self.score_matrix[member], vector):
-                return InsertOutcome(accepted=False, dominated_by=member)
+        if (dominated_by := self._dominator(vector)) is not None:
+            return InsertOutcome(accepted=False, dominated_by=dominated_by)
         evicted = tuple(m for m in self.members if dominates(vector, self.score_matrix[m]))
         for member in evicted:
             self.members.remove(member)
@@ -68,12 +74,9 @@ class ParetoPool:
     def insert_seed(self, candidate_id: int, vector: list[int] | tuple[int, ...]) -> None:
         """The seed enters unconditionally at initialization; the normal
         eviction rule removes it later if dominated."""
-        vector = tuple(int(v) for v in vector)
-        self._check_length(vector)
         if self.members:
             raise ValueError("seed insertion only valid on an empty pool")
-        self.members.append(candidate_id)
-        self.score_matrix[candidate_id] = vector
+        self.try_insert(candidate_id, vector)
 
     def win_counts(self) -> dict[int, int]:
         """Member wins = validation samples where the member attains the

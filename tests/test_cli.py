@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from vistaopt.backends.http import HttpBackend
+from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_IO_FAILURE,
@@ -12,6 +14,8 @@ from vistaopt.cli import (
     EXIT_TRANSPORT_FAILURE,
     main,
 )
+from vistaopt.domain import default_taxonomy
+from vistaopt.errors import TransportFailureError
 
 
 @pytest.fixture()
@@ -137,6 +141,29 @@ def test_optimize_transport_failure_exit_code(tmp_path, config_file):
     code = main(["optimize", str(cfg), "defective", str(tmp_path / "run"),
                  "--backend", "http"])
     assert code == EXIT_TRANSPORT_FAILURE
+
+
+@pytest.mark.parametrize("fails, exit_code", [(False, EXIT_OK), (True, EXIT_TRANSPORT_FAILURE)])
+def test_optimize_closes_the_http_backend(fails, exit_code, tmp_path, config_file, monkeypatch):
+    synthetic = SyntheticBackend(SyntheticWorldConfig(), make_synthetic_dataset(50, 50),
+                                 default_taxonomy(), 0)
+
+    def generate(self, request):
+        if fails:
+            raise TransportFailureError("injected")
+        return synthetic.generate(request)
+
+    close = HttpBackend.close
+    closed = []
+    monkeypatch.setattr(HttpBackend, "generate", generate)
+    monkeypatch.setattr(HttpBackend, "close", lambda self: closed.append(self) or close(self))
+    data = json.loads(config_file.read_text())
+    data["http"] = {"base_url": "http://127.0.0.1:9"}
+    cfg = tmp_path / "http.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["optimize", str(cfg), "defective", str(tmp_path / "run"), "--backend", "http"])
+    assert code == exit_code
+    assert len(closed) == 1 and isinstance(closed[0], HttpBackend)
 
 
 def test_report_metric_calls_match_ledger(config_file, tmp_path):

@@ -1,9 +1,12 @@
 import gzip
+import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -28,19 +31,33 @@ class StubServer:
     POST; the last entry repeats.  A ``bytes`` payload is sent as it is,
     any other as JSON.  Each request is served on its own thread after
     ``delay`` seconds, and ``in_flight_max`` records the most requests
-    served at once.
+    served at once.  ``connections`` counts accepted connections.
+
+    Replies are HTTP/1.0, one per connection, unless ``keep_alive`` is set.
+    With ``hang_up`` as well, the server closes each connection after its
+    reply without saying so, as a server closes an idle connection.  Like
+    perfbench's stub, a reply is written in two sends, headers then body,
+    with Nagle's algorithm on.
     """
 
-    def __init__(self, script, delay=0.0):
+    def __init__(self, script, delay=0.0, keep_alive=False, hang_up=False):
         self.script = list(script)
         self.delay = delay
         self.requests = []
+        self.connections = 0
         self.in_flight = 0
         self.in_flight_max = 0
         self._lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
+            def setup(self):
+                super().setup()
+                with stub._lock:
+                    stub.connections += 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length)
@@ -67,6 +84,7 @@ class StubServer:
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
+                self.close_connection = self.close_connection or hang_up
 
             def log_message(self, *args):
                 pass
@@ -170,6 +188,104 @@ def test_connection_refused_is_retried_then_fails():
     with pytest.raises(TransportFailureError, match="gave up after 3 attempts"):
         backend.generate(agent_request())
     assert backend.requests_sent == 3 and backend.retries == 2
+
+
+requires_quickack = pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                                       reason="connections are reused only with TCP_QUICKACK")
+
+
+@pytest.fixture()
+def opened(monkeypatch):
+    """Every ``HTTPConnection`` the direct transport creates."""
+    connections = []
+
+    class Recorded(http.client.HTTPConnection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            connections.append(self)
+
+    monkeypatch.setattr(http.client, "HTTPConnection", Recorded)
+    return connections
+
+
+@requires_quickack
+def test_pooled_generations_open_one_connection_per_worker():
+    items = make_synthetic_dataset(40, 2).train
+    with StubServer([(200, completion('{"final_answer": "1"}'))], delay=0.002,
+                    keep_alive=True) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        records = Evaluator(backend, max_parallel=2).evaluate_items("system prompt", items,
+                                                                    charged=True)
+        backend.close()
+    assert len(records) == len(stub.requests) == 40
+    assert 1 <= stub.connections <= 2
+    assert backend.requests_sent == 40 and backend.retries == 0
+
+
+def test_http_10_server_gets_one_connection_per_request(opened):
+    with StubServer([(200, completion("x"))]) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        assert [backend.generate(agent_request()) for _ in range(5)] == ["x"] * 5
+    assert stub.connections == len(opened) == 5
+    assert all(connection.sock is None for connection in opened)
+
+
+@requires_quickack
+def test_connection_closed_while_idle_is_replaced_without_a_retry():
+    with StubServer([(200, completion("x"))], keep_alive=True, hang_up=True) as stub:
+        backend = HttpBackend(base_url=stub.base_url, max_retries=0, backoff_base=0.0)
+        assert [backend.generate(agent_request()) for _ in range(3)] == ["x"] * 3
+        backend.close()
+    assert stub.connections == len(stub.requests) == 3
+    assert backend.requests_sent == 3 and backend.retries == 0
+
+
+@requires_quickack
+def test_idle_connections_are_shared_safely_between_threads(opened):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with StubServer([(200, completion("x"))], keep_alive=True) as stub:
+            backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                replies = list(pool.map(lambda _: backend.generate(agent_request()), range(100)))
+            backend.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == ["x"] * 100 and len(stub.requests) == 100
+    # A connection handed to two threads, or lost from the idle list, shows here.
+    assert stub.connections == len(opened) <= 8
+    assert all(connection.sock is None for connection in opened)
+    assert backend.retries == 0
+
+
+@requires_quickack
+def test_reused_connection_is_not_held_by_delayed_ack():
+    # The stub sends headers and body apart with Nagle on: were the client
+    # to delay its ACK of the headers (~40 ms), 20 replies would take >= 0.8 s.
+    with StubServer([(200, completion("x"))], keep_alive=True) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        start = time.perf_counter()
+        for _ in range(20):
+            backend.generate(agent_request())
+        elapsed = time.perf_counter() - start
+        backend.close()
+    assert stub.connections == 1
+    assert elapsed < 0.5
+
+
+@requires_quickack
+def test_close_closes_idle_connections_and_the_backend_stays_usable(opened):
+    with StubServer([(200, completion("x"))], keep_alive=True) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        backend.generate(agent_request())
+        assert opened[0].sock is not None, "kept open for reuse"
+        backend.close()
+        assert all(connection.sock is None for connection in opened)
+        assert backend.generate(agent_request()) == "x"
+        backend.close()
+    assert stub.connections == len(opened) == 2
+    assert all(connection.sock is None for connection in opened)
 
 
 def test_proxy_from_the_environment_is_honoured(monkeypatch):

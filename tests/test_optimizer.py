@@ -639,6 +639,38 @@ def test_crash_leaves_state_of_completed_rounds(fail_at, dataset_50, taxonomy, d
         "config.json", "ledger.json", "pool.json", "rounds.jsonl", "trace.dot", "trace.json"]
 
 
+def test_failed_journal_write_leaves_journal_and_snapshots_agreeing(dataset_50, taxonomy,
+                                                                    defective_seed, tmp_path,
+                                                                    monkeypatch):
+    # The round's line is written before the round is applied, so a failed
+    # write leaves round 3 out of the journal and out of the snapshots alike.
+    json_line = optimizer.json_line
+    calls = []
+
+    def failing_json_line(data):
+        calls.append(data)
+        if len(calls) == 3:
+            raise OSError("injected journal write failure")
+        return json_line(data)
+
+    monkeypatch.setattr(optimizer, "json_line", failing_json_line)
+    out_dir = tmp_path / "run"
+    engine = OptimizationRun(RunConfig(rng_seed=0, budget=500, max_parallel=1), dataset_50,
+                             taxonomy, SyntheticBackend(SyntheticWorldConfig(), dataset_50,
+                                                        taxonomy, 0),
+                             defective_seed, out_dir=out_dir)
+    with pytest.raises(OSError, match="injected"):
+        engine.run()
+    journal = (out_dir / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
+    charges = json.loads((out_dir / "ledger.json").read_text(encoding="utf-8"))["charges"]
+    assert len(charges) == len(journal) == len(engine.outcomes) == 2
+    assert [json.loads(line)["iteration"] for line in journal] == [
+        c["iteration"] for c in charges] == [1, 2]
+    trace_rounds = {e.iteration for e in import_tree(
+        (out_dir / "trace.json").read_text(encoding="utf-8")).edges}
+    assert trace_rounds <= {1, 2}
+
+
 def test_crash_in_first_validation_gate_leaves_seed_state(dataset_50, taxonomy, defective_seed):
     # Generations 1-50 score the seed on validation, 51-58 the parent's
     # minibatch, 59 is the hypothesis agent, 60-62 the reflections and 63-86
@@ -678,14 +710,16 @@ def test_persisted_run_exports_trace_once_per_format(dataset_50, taxonomy, defec
 # --------------------------------------------------------- expected rounds
 
 def test_expected_rounds_closed_form():
-    assert expected_rounds(1.0) == 1.0
-    assert expected_rounds(0.5) == 2.0
+    for beta, rounds in ((1.0, 1.0), (0.5, 2.0)):
+        with pytest.warns(DeprecationWarning, match="expected_rounds") as record:
+            assert expected_rounds(beta) == rounds
+        assert len(record) == 1
 
 
 def test_expected_rounds_rejects_bad_beta():
-    with pytest.raises(NonPositiveBetaError):
-        expected_rounds(0.0)
-    with pytest.raises(NonPositiveBetaError):
-        expected_rounds(-0.3)
-    with pytest.raises(ValueError):
-        expected_rounds(1.2)
+    for beta, error in ((0.0, NonPositiveBetaError), (-0.3, NonPositiveBetaError),
+                        (1.2, ValueError)):
+        with pytest.warns(DeprecationWarning, match="expected_rounds") as record:
+            with pytest.raises(error):
+                expected_rounds(beta)
+        assert len(record) == 1

@@ -26,7 +26,7 @@ from .domain import (
 )
 from .estimator import PromptOptimizer
 from .evaluation import exact_match, extract_final_answer, normalize_answer
-from .optimizer import BudgetLedger, RoundOutcome, RunResult, expected_rounds, run
+from .optimizer import BudgetLedger, RoundOutcome, RunResult, run
 from .pareto import ParetoPool, dominates
 from .trace import SemanticTraceTree, TraceEdge, detect_oscillation, export_tree, import_tree
 
@@ -59,7 +59,6 @@ __all__ = [
     "BudgetLedger",
     "RoundOutcome",
     "RunResult",
-    "expected_rounds",
     "run",
     "ParetoPool",
     "dominates",

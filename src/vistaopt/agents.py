@@ -8,6 +8,7 @@ the agent and survive rendering untouched.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -37,6 +38,9 @@ TRUNCATION_MARK = " ...[truncated]"
 _HEADER_RE = re.compile(r"^\[HYPOTHESIS (\d+)\]\s*$", re.MULTILINE)
 _BLOCK_SCAFFOLD_RE = re.compile(
     r"\[HYPOTHESIS \d+\]\nTAG: \{taxonomy_id\}\nDESCRIPTION: <[^>\n]*>\nFIX: <[^>\n]*>")
+_TAG_RE = re.compile(r"^TAG:[ \t]*(.+)$", re.MULTILINE)
+_DESCRIPTION_RE = re.compile(r"^DESCRIPTION:[ \t]*(.+)$", re.MULTILINE)
+_FIX_RE = re.compile(r"^FIX:[ \t]*(.+)$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -61,23 +65,25 @@ class PromptTemplate:
         return out
 
 
+@functools.cache
+def _shipped_body(name: str) -> str:
+    return resources.files("vistaopt.data").joinpath(f"templates/{name}.txt").read_text(
+        encoding="utf-8")
+
+
 def load_template(name: str, path: str | Path | None = None) -> PromptTemplate:
-    """Load a shipped template body, or an override file via ``path``."""
-    if path is not None:
-        body = Path(path).read_text(encoding="utf-8")
-    else:
-        body = resources.files("vistaopt.data").joinpath(f"templates/{name}.txt").read_text(
-            encoding="utf-8")
+    """A shipped template body, read once per process, or an override file read per call."""
+    body = _shipped_body(name) if path is None else Path(path).read_text(encoding="utf-8")
     return PromptTemplate(name=name, body=body)
 
 
 def render_taxonomy(taxonomy: Taxonomy) -> str:
-    lines = []
-    for entry in taxonomy.entries:
-        lines.append(f"- id: {entry.id}")
-        lines.append(f"    name: {entry.name}")
-        lines.append(f"    description: {entry.description}")
-    return "\n".join(lines)
+    """Rendered once and kept on the (immutable) taxonomy: hashing it costs as much."""
+    if "_rendered" not in vars(taxonomy):
+        object.__setattr__(taxonomy, "_rendered", "\n".join(
+            f"- id: {e.id}\n    name: {e.name}\n    description: {e.description}"
+            for e in taxonomy.entries))
+    return taxonomy._rendered
 
 
 def _truncate_raw(raw: str) -> str:
@@ -106,8 +112,8 @@ def format_failures(failures: Sequence[FailureCase], *, include_task_fields: boo
 def _reshape_blocks(body: str, k: int) -> str:
     """The shipped scaffold is three-block shaped; repeat it K times when a
     different K is configured."""
-    matches = list(_BLOCK_SCAFFOLD_RE.finditer(body))
-    if len(matches) != 3 or k == 3:
+    matches = [] if k == 3 else list(_BLOCK_SCAFFOLD_RE.finditer(body))
+    if len(matches) != 3:
         return body
     scaffold = matches[0].group(0)
     blocks = []
@@ -192,9 +198,9 @@ def parse_hypotheses(
         start = header.end()
         end = headers[idx + 1].start() if idx + 1 < len(headers) else len(response)
         segment = response[start:end]
-        tag = re.search(r"^TAG:[ \t]*(.+)$", segment, re.MULTILINE)
-        desc = re.search(r"^DESCRIPTION:[ \t]*(.+)$", segment, re.MULTILINE)
-        fix = re.search(r"^FIX:[ \t]*(.+)$", segment, re.MULTILINE)
+        tag = _TAG_RE.search(segment)
+        desc = _DESCRIPTION_RE.search(segment)
+        fix = _FIX_RE.search(segment)
         if len(parsed) >= k or not (tag and desc and fix):
             malformed += 1
             continue

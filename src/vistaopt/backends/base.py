@@ -61,8 +61,8 @@ class Backend(Protocol):
 
 class RoleRouter:
     """Dispatch requests to per-role backends, e.g. a synthetic base model
-    with HTTP-backed agents.  The evaluator sends it only base-role requests,
-    so it declares ``in_process`` and ``deterministic`` as that backend does."""
+    with HTTP-backed agents.  It declares ``in_process`` and ``deterministic``
+    as its base-role backend does, so with a synthetic base, HTTP reflections run one at a time."""
 
     def __init__(self, default: Backend, **per_role: Backend):
         unknown = set(per_role) - set(ROLES)

@@ -44,6 +44,9 @@ Respond with a JSON object in this format:
 
 ORDER_FIX = "order_solution_first"
 
+_LABEL_RE = re.compile(r"^Root cause label: (.*)$", re.MULTILINE)
+_PROMPT_RE = re.compile(r"Current prompt:\n(.*?)\n\nFailure cases:", re.DOTALL)
+
 _TAG_NOTES = {
     "cot_field_ordering": (
         "The output schema asks for the answer before the reasoning, so the reasoning "
@@ -238,10 +241,10 @@ def _order_solution_first(text: str) -> str:
 
 
 def synthetic_reflect(label: str, parent_text: str, world: SyntheticWorldConfig,
-                      rng: random.Random) -> str:
+                      rng: random.Random | None) -> str:
     """Scripted reflection: apply the configured transformation for the
     label; blank restarts emit the canonical prompt; the label-free
-    mutation draws its attribution from the unconstrained prior."""
+    mutation draws its attribution from the unconstrained prior (``rng``)."""
     raw = strip_free_prefix(label)
     if raw == BLANK_LABEL:
         return CANONICAL_RESTART_PROMPT
@@ -270,6 +273,8 @@ class SyntheticBackend:
         self.run_seed = run_seed
         self._items_by_question = {it.question: it for it in dataset.train + dataset.val}
         self._feature_cache: dict[str, dict[str, bool]] = {}
+        # Keyed on (feature values, item): cosmetic rewrites share features.
+        self._answers: dict[tuple[tuple[bool, ...], TaskItem], str] = {}
 
     def _features(self, prompt_text: str) -> dict[str, bool]:
         cached = self._feature_cache.get(prompt_text)
@@ -306,7 +311,11 @@ class SyntheticBackend:
         if item is None:
             item = TaskItem(id=f"adhoc-{hashlib.sha256(question.encode()).hexdigest()[:8]}",
                             question=question, gold_answer="0")
-        return synthetic_base_answer(self._features(system), item, self.world)
+        features = self._features(system)
+        key = (tuple(features.values()), item)
+        if key not in self._answers:
+            self._answers[key] = synthetic_base_answer(features, item, self.world)
+        return self._answers[key]
 
     # -------------------------------------------------------- hypothesis
 
@@ -343,8 +352,10 @@ class SyntheticBackend:
 
     def _reflection(self, request: GenerationRequest) -> str:
         text = request.text()
-        label_match = re.search(r"^Root cause label: (.*)$", text, re.MULTILINE)
+        label_match = _LABEL_RE.search(text)
         label = label_match.group(1).strip() if label_match else UNLABELED
-        prompt_match = re.search(r"Current prompt:\n(.*?)\n\nFailure cases:", text, re.DOTALL)
+        prompt_match = _PROMPT_RE.search(text)
         parent = prompt_match.group(1) if prompt_match else ""
-        return synthetic_reflect(label, parent, self.world, self._rng(request))
+        # Only the label-free mutation draws; its RNG hashes the whole request.
+        rng = self._rng(request) if strip_free_prefix(label) == UNLABELED else None
+        return synthetic_reflect(label, parent, self.world, rng)

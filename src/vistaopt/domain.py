@@ -176,6 +176,17 @@ class TaskItem:
     gold_answer: str
     difficulty: float | None = None  # set for synthesized items only
 
+    def __post_init__(self):  # hashed once: memo keys hash items on every lookup
+        object.__setattr__(self, "_hash", hash(
+            (self.id, self.question, self.gold_answer, self.difficulty)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through __init__: str hashes, so ``_hash``, differ between processes.
+        return TaskItem, (self.id, self.question, self.gold_answer, self.difficulty)
+
 
 @dataclass(frozen=True)
 class TaskDataset:

@@ -103,11 +103,7 @@ class TransportFailureError(VistaError):
     pass
 
 
-# ------------------------------------------------------------- optimizer
-
-class NonPositiveBetaError(VistaError):
-    pass
-
+# ------------------------------------------------------------- estimator
 
 class NotFittedError(VistaError):
     """Estimator method called before fit()."""

@@ -138,10 +138,10 @@ class FailureCase:
     parse_error: str | None
 
 
-def sample_minibatch(train: Sequence["TaskItem"], b: int, rng: random.Random) -> list[str]:
-    """Draw b distinct item ids uniformly without replacement from the
-    run's seeded stream; callers draw afresh every round."""
-    return rng.sample([item.id for item in train], b)
+def sample_minibatch(train_ids: Sequence[str], b: int, rng: random.Random) -> list[str]:
+    """Draw b distinct train item ids uniformly without replacement from
+    the run's seeded stream; callers draw afresh every round."""
+    return rng.sample(train_ids, b)
 
 
 def delta_acc(candidate: MinibatchResult, parent: MinibatchResult) -> int:
@@ -208,7 +208,8 @@ class Evaluator:
 
     A backend that declares ``deterministic`` has each distinct (prompt,
     item) pair generated and scored once per evaluator, and repeats still
-    count.  Sampled models are not memoized: verification compares fresh samples.
+    count, and each distinct (item, raw output) is scored once.  Sampled
+    models are not memoized: verification compares fresh samples.
     """
 
     def __init__(self, backend: Backend, max_parallel: int = 1):
@@ -216,15 +217,23 @@ class Evaluator:
         self.max_parallel = max(1, int(max_parallel))
         self.metric_calls = 0
         self.uncharged_calls = 0
-        self._memo: dict[tuple[str, "TaskItem"], EvaluationRecord] | None = (
-            {} if getattr(backend, "deterministic", False) else None)
+        memo = getattr(backend, "deterministic", False)
+        self._memo: dict[tuple[str, "TaskItem"], EvaluationRecord] | None = {} if memo else None
+        self._scores: dict[tuple["TaskItem", str], EvaluationRecord] | None = {} if memo else None
+
+    def _score(self, item: "TaskItem", raw: str) -> EvaluationRecord:
+        if self._scores is None:
+            return score_output(item, raw)
+        if (item, raw) not in self._scores:
+            self._scores[item, raw] = score_output(item, raw)
+        return self._scores[item, raw]
 
     def _generate_and_score(self, tasks: Sequence[tuple[str, "TaskItem"]]) -> list[EvaluationRecord]:
         requests = [GenerationRequest(role="base",
                                       messages=(("system", text), ("user", item.question)))
                     for text, item in tasks]
         raws = generate_in_order(self.backend, requests, self.max_parallel)
-        return [score_output(item, raw) for (_text, item), raw in zip(tasks, raws)]
+        return [self._score(item, raw) for (_text, item), raw in zip(tasks, raws)]
 
     def _dispatch(self, tasks: Sequence[tuple[str, "TaskItem"]], *,
                   charged: bool) -> list[EvaluationRecord]:

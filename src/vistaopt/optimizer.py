@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import random
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,7 +56,7 @@ from .domain import (
     TaskDataset,
     Taxonomy,
 )
-from .errors import EmptyRewriteError, NoBlocksFoundError, NonPositiveBetaError
+from .errors import EmptyRewriteError, NoBlocksFoundError
 from .evaluation import (
     Evaluator,
     FailureCase,
@@ -94,17 +93,6 @@ FALLBACK_DIRECTIVE = Hypothesis(
 # zero look-ahead cap, or agents whose output is always dropped) would loop
 # forever; stop after this many consecutive zero-charge rounds.
 MAX_STALLED_ROUNDS = 200
-
-
-def expected_rounds(beta: float) -> float:
-    """Expected rounds until the true root cause is first identified under
-    geometric trials with per-round success probability beta.  Deprecated."""
-    warnings.warn("expected_rounds is deprecated", DeprecationWarning, stacklevel=2)
-    if beta <= 0:
-        raise NonPositiveBetaError(f"beta must be positive, got {beta}")
-    if beta > 1:
-        raise ValueError(f"beta is a probability, got {beta}")
-    return 1.0 / beta
 
 
 @dataclass
@@ -368,7 +356,7 @@ class OptimizationRun:
         metered = self.evaluator.metric_calls
         parent_id = self.pool.select_parent(self.rng_parent)
         parent = self.candidates[parent_id]
-        minibatch = sample_minibatch(self.dataset.train, self.config.b, self.rng_minibatch)
+        minibatch = sample_minibatch(self._train_ids, self.config.b, self.rng_minibatch)
         # Parent baseline on this round's minibatch: needed for failure
         # collection and accuracy gains, unmetered by the budget.
         parent_result = self.evaluator.evaluate_batches(

@@ -255,3 +255,48 @@ def test_extract_rewritten_empty():
         extract_rewritten_prompt("   \n  ")
     with pytest.raises(EmptyRewriteError):
         extract_rewritten_prompt("```\n\n```")
+
+
+# ------------------------------------------------------------- templates
+
+def make_run(synthetic_backend, dataset_50, taxonomy, seed_prompt, template_paths=None):
+    from vistaopt.domain import RunConfig
+    from vistaopt.optimizer import OptimizationRun
+
+    return OptimizationRun(RunConfig(budget=0), dataset_50, taxonomy, synthetic_backend,
+                           seed_prompt, template_paths=template_paths)
+
+
+def test_override_template_edited_between_runs_is_read_again(
+        tmp_path, synthetic_backend, dataset_50, taxonomy, defective_seed):
+    path = tmp_path / "reflection.txt"
+    bodies = []
+    for marker in ("first", "second"):
+        path.write_text(load_template("reflection").body + marker, encoding="utf-8")
+        engine = make_run(synthetic_backend, dataset_50, taxonomy, defective_seed,
+                          {"reflection": str(path)})
+        bodies.append(engine.reflection_template.body)
+    assert bodies[0].endswith("first") and bodies[1].endswith("second")
+    assert engine.hypothesis_template == load_template("hypothesis")
+
+
+def test_shipped_templates_are_read_once_per_process(
+        monkeypatch, synthetic_backend, dataset_50, taxonomy, defective_seed):
+    from importlib import resources
+    from types import SimpleNamespace
+
+    from vistaopt import agents
+
+    shipped = {name: load_template(name).body for name in ("hypothesis", "reflection")}
+    reads = []
+
+    def files(package):
+        reads.append(package)
+        return resources.files(package)
+
+    monkeypatch.setattr(agents, "resources", SimpleNamespace(files=files))
+    for _ in range(2):
+        engine = make_run(synthetic_backend, dataset_50, taxonomy, defective_seed)
+        assert engine.hypothesis_template.body == shipped["hypothesis"]
+        assert engine.reflection_template.body == shipped["reflection"]
+    assert reads == []

@@ -106,20 +106,24 @@ def test_normalize_thousands_separator():
 
 # --------------------------------------------------------------- sampling
 
+def train_ids(dataset):
+    return [item.id for item in dataset.train]
+
+
 def test_sample_full_permutation(dataset_50):
     rng = random.Random(1)
-    ids = sample_minibatch(dataset_50.train, 50, rng)
+    ids = sample_minibatch(train_ids(dataset_50), 50, rng)
     assert sorted(ids) == sorted(i.id for i in dataset_50.train)
 
 
 def test_sample_deterministic_with_seed(dataset_50):
-    a = [sample_minibatch(dataset_50.train, 8, random.Random(5)) for _ in range(10)]
-    b = [sample_minibatch(dataset_50.train, 8, random.Random(5)) for _ in range(10)]
+    a = [sample_minibatch(train_ids(dataset_50), 8, random.Random(5)) for _ in range(10)]
+    b = [sample_minibatch(train_ids(dataset_50), 8, random.Random(5)) for _ in range(10)]
     assert a == b
 
 
 def test_sample_distinct_ids(dataset_50):
-    ids = sample_minibatch(dataset_50.train, 8, random.Random(0))
+    ids = sample_minibatch(train_ids(dataset_50), 8, random.Random(0))
     assert len(ids) == 8 and len(set(ids)) == 8
 
 
@@ -130,7 +134,7 @@ def test_sample_inclusion_frequency_3_sigma(dataset_50):
     n, b, size = 1000, 8, 50
     counts = {item.id: 0 for item in dataset_50.train}
     for _ in range(n):
-        for picked in sample_minibatch(dataset_50.train, b, rng):
+        for picked in sample_minibatch(train_ids(dataset_50), b, rng):
             counts[picked] += 1
     p = b / size
     sigma = math.sqrt(p * (1 - p) / n)
@@ -332,14 +336,57 @@ def test_memo_one_dispatch_generates_repeated_pairs_once(world, dataset_50, taxo
     assert ev.metric_calls == 16
 
 
-def test_memo_key_is_the_whole_item(synthetic_backend, dataset_50, repaired_seed):
+def test_memo_key_is_the_whole_item(world, dataset_50, taxonomy, repaired_seed):
+    """Equal items built separately share one memo entry; items that repeat
+    an id but differ in any field do not."""
     from vistaopt.domain import TaskItem
 
-    easy = dataset_50.train[0]
-    items = [TaskItem(id="q", question=easy.question, gold_answer=easy.gold_answer),
-             TaskItem(id="q", question=easy.question, gold_answer="wrong")]
-    records = Evaluator(synthetic_backend).evaluate_items(repaired_seed, items, charged=False)
-    assert [r.score for r in records] == [1, 0]
+    easy, other = dataset_50.train[0], dataset_50.train[1]
+
+    def build(**change):
+        fields = dict(id="q", question=easy.question, gold_answer=easy.gold_answer)
+        return TaskItem(**{**fields, **change})
+
+    items = [build(), build(), build(gold_answer="wrong"), build(difficulty=0.99),
+             build(question=other.question)]
+    backend = CountingSynthetic(world, dataset_50, taxonomy)
+    ev = Evaluator(backend)
+    records = ev.evaluate_items(repaired_seed, items, charged=False)
+    assert [r.score for r in records] == [1, 1, 0, 1, 0]
+    assert records[0] is records[1]
+    assert len(ev._memo) == backend.base_calls == 4
+    # A prompt with the same features gets the same raw output: one score record.
+    again = ev.evaluate_items(repaired_seed + "\n", items[:1], charged=False)
+    assert again[0] is records[0] and backend.base_calls == 5
+
+
+def test_pickled_item_hashes_like_a_fresh_one_in_another_process(tmp_path):
+    """The cached hash is not pickled: str hashes differ between processes."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import vistaopt
+    from vistaopt.domain import TaskItem
+
+    fields = dict(id="q", question="What is 2 + 2?", gold_answer="4", difficulty=0.5)
+    item = TaskItem(**fields)
+    (tmp_path / "item.pkl").write_bytes(pickle.dumps(item))
+    script = (
+        "import pickle, sys\n"
+        "from vistaopt.domain import TaskItem\n"
+        "item = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        f"fresh = TaskItem(**{fields!r})\n"
+        "print(hash('q'), hash(item) == hash(fresh), item == fresh, {fresh: 1}.get(item))\n")
+    other_seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    env = {**os.environ, "PYTHONHASHSEED": other_seed,
+           "PYTHONPATH": str(Path(vistaopt.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "item.pkl")], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout.split()
+    assert int(out[0]) != hash("q"), "the child must hash strings differently"
+    assert out[1:] == ["True", "True", "1"]
 
 
 def test_no_memo_without_deterministic(world, dataset_50, taxonomy, defective_seed):
@@ -380,7 +427,7 @@ def test_role_router_memoized_exactly_when_its_base_backend_is(world, dataset_50
     router = RoleRouter(forwarding, hypothesis_agent=Canned())
     assert not router.in_process and not router.deterministic
     ev = Evaluator(router, max_parallel=2)
-    assert ev._memo is None
+    assert ev._memo is None and ev._scores is None
     evaluate_twice(ev)
     assert forwarding.calls == 24
 

@@ -11,7 +11,7 @@ from test_domain import check_candidate_invariants
 from vistaopt import optimizer
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy
-from vistaopt.errors import NonPositiveBetaError, TransportFailureError
+from vistaopt.errors import TransportFailureError
 from vistaopt.optimizer import (
     BRANCH_FALLBACK,
     BRANCH_HYPOTHESES,
@@ -19,7 +19,6 @@ from vistaopt.optimizer import (
     BRANCH_SKIPPED,
     MAX_STALLED_ROUNDS,
     OptimizationRun,
-    expected_rounds,
     run,
 )
 from vistaopt.trace import import_tree
@@ -705,21 +704,3 @@ def test_persisted_run_exports_trace_once_per_format(dataset_50, taxonomy, defec
         assert sorted(formats) == ["dot", "json"], f"budget {budget}: {formats}"
         rounds.append(len(result.outcomes))
     assert rounds[0] < rounds[1]
-
-
-# --------------------------------------------------------- expected rounds
-
-def test_expected_rounds_closed_form():
-    for beta, rounds in ((1.0, 1.0), (0.5, 2.0)):
-        with pytest.warns(DeprecationWarning, match="expected_rounds") as record:
-            assert expected_rounds(beta) == rounds
-        assert len(record) == 1
-
-
-def test_expected_rounds_rejects_bad_beta():
-    for beta, error in ((0.0, NonPositiveBetaError), (-0.3, NonPositiveBetaError),
-                        (1.2, ValueError)):
-        with pytest.warns(DeprecationWarning, match="expected_rounds") as record:
-            with pytest.raises(error):
-                expected_rounds(beta)
-        assert len(record) == 1

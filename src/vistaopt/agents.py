@@ -41,6 +41,8 @@ _BLOCK_SCAFFOLD_RE = re.compile(
 _TAG_RE = re.compile(r"^TAG:[ \t]*(.+)$", re.MULTILINE)
 _DESCRIPTION_RE = re.compile(r"^DESCRIPTION:[ \t]*(.+)$", re.MULTILINE)
 _FIX_RE = re.compile(r"^FIX:[ \t]*(.+)$", re.MULTILINE)
+_PLACEHOLDER_RES = {names: re.compile(r"\{(" + "|".join(sorted(names)) + r")\}")
+                    for names in (HYPOTHESIS_PLACEHOLDERS, REFLECTION_PLACEHOLDERS)}
 
 
 @dataclass(frozen=True)
@@ -53,16 +55,14 @@ class PromptTemplate:
         return HYPOTHESIS_PLACEHOLDERS if self.name == "hypothesis" else REFLECTION_PLACEHOLDERS
 
     def render(self, bindings: dict[str, str]) -> str:
-        """Substitute declared placeholders only; anything else in braces is
-        literal template text."""
-        out = self.body
-        for name in self.placeholders:
-            marker = "{" + name + "}"
-            if marker in out:
-                if name not in bindings:
-                    raise MissingBindingError(f"template {self.name}: no binding for {name!r}")
-                out = out.replace(marker, str(bindings[name]))
-        return out
+        """One pass over the body substitutes its declared placeholders, never
+        bound text; anything else in braces is literal template text."""
+        parts = _PLACEHOLDER_RES[self.placeholders].split(self.body)
+        for name in parts[1::2]:
+            if name not in bindings:
+                raise MissingBindingError(f"template {self.name}: no binding for {name!r}")
+        parts[1::2] = [str(bindings[name]) for name in parts[1::2]]
+        return "".join(parts)
 
 
 @functools.cache

@@ -137,6 +137,23 @@ def test_render_missing_binding():
         template.render({"label": "x"})
 
 
+def test_render_never_substitutes_into_bound_text(taxonomy):
+    """A prompt that names every placeholder is kept as it is.  Replacing
+    one placeholder after another substituted into it, in an order set by
+    str hashing, so the rendered text changed with PYTHONHASHSEED."""
+    from vistaopt.agents import HYPOTHESIS_PLACEHOLDERS, REFLECTION_PLACEHOLDERS
+
+    def naming(placeholders):
+        return "Keep " + " ".join("{" + name + "}" for name in sorted(placeholders))
+
+    hyp = Hypothesis(label="x", description="d", fix="f", origin="heuristic")
+    prompt = naming(REFLECTION_PLACEHOLDERS)
+    assert prompt in render_reflection_prompt(load_template("reflection"), prompt, hyp, failures())
+    prompt = naming(HYPOTHESIS_PLACEHOLDERS)
+    assert prompt in render_hypothesis_prompt(load_template("hypothesis"), prompt, taxonomy,
+                                              failures(), 3, [accepted_edge(1, "x", 2.0)])
+
+
 # ----------------------------------------------------------------- parse
 
 def test_parse_well_formed_blocks(taxonomy):

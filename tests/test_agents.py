@@ -138,9 +138,9 @@ def test_render_missing_binding():
 
 
 def test_render_never_substitutes_into_bound_text(taxonomy):
-    """A prompt that names every placeholder is kept as it is.  Replacing
-    one placeholder after another substituted into it, in an order set by
-    str hashing, so the rendered text changed with PYTHONHASHSEED."""
+    """A prompt that names every placeholder is kept as it is: substituting
+    into bound text would depend on the order of placeholder names, which
+    str hashing sets, so on PYTHONHASHSEED."""
     from vistaopt.agents import HYPOTHESIS_PLACEHOLDERS, REFLECTION_PLACEHOLDERS
 
     def naming(placeholders):

@@ -3,7 +3,10 @@ parsing of hypothesis-agent responses.
 
 Template bodies ship as data files; the literal ``{taxonomy_id}`` markers
 inside the response-format scaffold are part of the instructions shown to
-the agent and survive rendering untouched.
+the agent and survive rendering untouched.  The renderers only fill
+templates: the caller builds each block once, where its value is fixed
+(``render_taxonomy`` once per run, ``format_failures`` once per round), and
+passes it in as text.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .domain import (
-    BLANK_LABEL,
-    UNCLASSIFIED_ID,
-    Hypothesis,
-    Taxonomy,
-    free_label,
-)
+from .domain import UNCLASSIFIED_ID, Hypothesis, Taxonomy, free_label
 from .errors import EmptyRewriteError, MissingBindingError, NoBlocksFoundError
 from .evaluation import FailureCase
 from .trace import TraceEdge, trajectory_context_block
@@ -78,12 +75,8 @@ def load_template(name: str, path: str | Path | None = None) -> PromptTemplate:
 
 
 def render_taxonomy(taxonomy: Taxonomy) -> str:
-    """Rendered once and kept on the (immutable) taxonomy: hashing it costs as much."""
-    if "_rendered" not in vars(taxonomy):
-        object.__setattr__(taxonomy, "_rendered", "\n".join(
-            f"- id: {e.id}\n    name: {e.name}\n    description: {e.description}"
-            for e in taxonomy.entries))
-    return taxonomy._rendered
+    return "\n".join(f"- id: {e.id}\n    name: {e.name}\n    description: {e.description}"
+                     for e in taxonomy.entries)
 
 
 def _truncate_raw(raw: str) -> str:
@@ -93,8 +86,8 @@ def _truncate_raw(raw: str) -> str:
 
 
 def format_failures(failures: Sequence[FailureCase], *, include_task_fields: bool = True) -> str:
-    """Numbered failure blocks; restart reflections condition only on the
-    raw output and parse error, so task fields are omitted there."""
+    """Numbered failure blocks; a restart reflection conditions only on the
+    raw output and parse error, so its caller omits the task fields."""
     if not failures:
         return "(none)"
     blocks = []
@@ -125,15 +118,13 @@ def _reshape_blocks(body: str, k: int) -> str:
 def render_hypothesis_prompt(
     template: PromptTemplate,
     current_prompt: str,
-    taxonomy: Taxonomy,
-    failures: Sequence[FailureCase],
+    taxonomy_block: str,
+    failure_block: str,
     k: int,
     trajectory: Sequence[TraceEdge] = (),
 ) -> str:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(taxonomy) == 0:
-        raise ValueError("taxonomy must be non-empty")
     body = _reshape_blocks(template.body, k)
     history = trajectory_context_block(trajectory)
     if history:
@@ -149,8 +140,8 @@ def render_hypothesis_prompt(
     return template.render(
         {
             "curr_instructions": current_prompt,
-            "error_taxonomy": render_taxonomy(taxonomy),
-            "failed_samples": format_failures(failures),
+            "error_taxonomy": taxonomy_block,
+            "failed_samples": failure_block,
             "num_hypotheses": str(k),
             "optimization_history": history,
         }
@@ -161,16 +152,15 @@ def render_reflection_prompt(
     template: PromptTemplate,
     parent_prompt: str,
     hypothesis: Hypothesis,
-    failures: Sequence[FailureCase],
+    failure_block: str,
 ) -> str:
-    blank = hypothesis.label == BLANK_LABEL and hypothesis.origin == "blank"
     return template.render(
         {
             "label": hypothesis.label,
             "hypothesis": hypothesis.description,
             "suggestion": hypothesis.fix,
-            "prompt": "" if blank else parent_prompt,
-            "failure_cases": format_failures(failures, include_task_fields=not blank),
+            "prompt": parent_prompt,
+            "failure_cases": failure_block,
         }
     )
 

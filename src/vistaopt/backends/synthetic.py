@@ -117,10 +117,6 @@ class SyntheticWorldConfig:
         if not 0.0 <= self.heuristic_success <= 1.0:
             raise ValueError("heuristic_success outside [0, 1]")
 
-    @property
-    def alpha(self) -> float:
-        return self.free_prior.get(self.true_root_cause, 0.0)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -124,18 +124,15 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
 
 
 def cmd_export_trace(run_dir: str, fmt: str = "dot") -> int:
+    out_path = Path(run_dir) / f"trace.{fmt}"
     try:
-        tree = load_trace(run_dir)
-        text = export_tree(tree, fmt)
+        write_atomic(out_path, export_tree(load_trace(run_dir), fmt))
     except MissingTraceError as exc:
         print(f"missing trace: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
     except (ValueError, VistaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    out_path = Path(run_dir) / f"trace.{fmt}"
-    try:
-        write_atomic(out_path, text)
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE

@@ -8,6 +8,7 @@ work so the ledger stays an exact mirror of the charged counter.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -125,7 +126,7 @@ class MinibatchResult:
         if len(self.records) != len(self.minibatch):
             raise ValueError("one record per minibatch item required")
 
-    @property
+    @functools.cached_property
     def correct_count(self) -> int:
         return sum(r.score for r in self.records)
 

@@ -38,10 +38,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agents import (
+    format_failures,
     load_template,
     parse_hypotheses,
     render_hypothesis_prompt,
     render_reflection_prompt,
+    render_taxonomy,
     extract_rewritten_prompt,
 )
 from .artifacts import json_line, json_text, write_atomic
@@ -201,6 +203,7 @@ class OptimizationRun:
         self.evaluator = Evaluator(backend, max_parallel=config.max_parallel)
         self.hypothesis_template = load_template("hypothesis", template_paths.get("hypothesis"))
         self.reflection_template = load_template("reflection", template_paths.get("reflection"))
+        self.taxonomy_block = render_taxonomy(taxonomy)
 
         # Independent named streams keep the branch sequence replayable
         # without simulating pool dynamics.
@@ -229,15 +232,14 @@ class OptimizationRun:
     # ------------------------------------------------------------ helpers
 
     def _reflection_request(self, parent_text: str, hypothesis: Hypothesis,
-                            failures: list[FailureCase]) -> GenerationRequest:
+                            failure_block: str) -> GenerationRequest:
         prompt = render_reflection_prompt(
-            self.reflection_template, parent_text, hypothesis, failures)
+            self.reflection_template, parent_text, hypothesis, failure_block)
         return GenerationRequest(role="reflection_agent", messages=(("user", prompt),))
 
-    def _reflect(self, parent_text: str, hypothesis: Hypothesis,
-                 failures: list[FailureCase]) -> str:
+    def _reflect(self, parent_text: str, hypothesis: Hypothesis, failure_block: str) -> str:
         return extract_rewritten_prompt(
-            self.backend.generate(self._reflection_request(parent_text, hypothesis, failures)))
+            self.backend.generate(self._reflection_request(parent_text, hypothesis, failure_block)))
 
     def _verify(self, outcome: RoundOutcome, parent_result: MinibatchResult,
                 slots: list[tuple[int, str, str, str]]) -> ProposalRecord | None:
@@ -364,31 +366,32 @@ class OptimizationRun:
         outcome = RoundOutcome(iteration=iteration, branch=BRANCH_FALLBACK,
                                parent_id=parent.id, minibatch=tuple(minibatch))
 
-        if self.config.mode == "baseline":
-            self._fallback_round(outcome, parent, parent_result)
-        elif self.rng_branch.random() < self.config.p:
+        if self.config.mode != "baseline" and self.rng_branch.random() < self.config.p:
             self._restart_round(outcome, parent, parent_result)
         else:
+            # One failure block per round, shown to every agent of the round.
             failures = collect_failures(parent_result, self.dataset)
-            if failures:
-                self._hypothesis_round(outcome, parent, parent_result, failures)
+            failure_block = format_failures(failures)
+            if self.config.mode == "baseline":
+                self._fallback_round(outcome, parent, parent_result, failure_block)
+            elif failures:
+                self._hypothesis_round(outcome, parent, parent_result, failure_block)
             else:
                 outcome.log.append(NO_FAILURES_LOG)
-                self._fallback_round(outcome, parent, parent_result)
+                self._fallback_round(outcome, parent, parent_result, failure_block)
         outcome.charge = self.evaluator.metric_calls - metered
         return outcome
 
     # --------------------------------------------------- hypothesis branch
 
     def _hypothesis_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                          parent_result: MinibatchResult,
-                          failures: list[FailureCase]) -> None:
+                          parent_result: MinibatchResult, failure_block: str) -> None:
         cfg = self.config
         outcome.branch = BRANCH_HYPOTHESES
         origins = ["free" if self.rng_slots.random() < cfg.epsilon else "heuristic"
                    for _ in range(cfg.K)]
         prompt = render_hypothesis_prompt(
-            self.hypothesis_template, parent.text, self.taxonomy, failures,
+            self.hypothesis_template, parent.text, self.taxonomy_block, failure_block,
             cfg.K, self.trace.trajectory(parent.id))
         request = GenerationRequest(
             role="hypothesis_agent",
@@ -417,7 +420,7 @@ class OptimizationRun:
         # in slot order, so the outcome does not depend on the schedule.
         responses = generate_in_order(
             self.backend,
-            [self._reflection_request(parent.text, hyp, failures) for hyp in hypotheses],
+            [self._reflection_request(parent.text, hyp, failure_block) for hyp in hypotheses],
             cfg.max_parallel)
         slots: list[tuple[int, str, str, str]] = []
         for slot, (hyp, response) in enumerate(zip(hypotheses, responses)):
@@ -460,7 +463,8 @@ class OptimizationRun:
             probe = FailureCase(question="", gold="", raw_output=record.raw_output,
                                 parse_error=record.parse_error)
             try:
-                restart_text = self._reflect("", H_BLANK, [probe])
+                restart_text = self._reflect(
+                    "", H_BLANK, format_failures([probe], include_task_fields=False))
             except EmptyRewriteError:
                 restart_text = None
                 break
@@ -486,11 +490,10 @@ class OptimizationRun:
     # ----------------------------------------------------- fallback branch
 
     def _fallback_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                        parent_result: MinibatchResult) -> None:
+                        parent_result: MinibatchResult, failure_block: str) -> None:
         outcome.branch = BRANCH_FALLBACK
-        failures = collect_failures(parent_result, self.dataset)
         try:
-            text = self._reflect(parent.text, FALLBACK_DIRECTIVE, failures)
+            text = self._reflect(parent.text, FALLBACK_DIRECTIVE, failure_block)
         except EmptyRewriteError:
             outcome.branch = BRANCH_SKIPPED
             outcome.log.append("Fallback mutation produced an empty rewrite. Round skipped.")

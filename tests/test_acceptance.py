@@ -11,7 +11,14 @@ from test_http_backend import HYPOTHESIS_RESPONSE, StubServer, completion
 from test_pareto import check_pool_invariants, non_dominated_subset
 from test_trace import bfs_depths, random_tree
 
-from vistaopt.agents import load_template, parse_hypotheses, render_hypothesis_prompt, render_reflection_prompt
+from vistaopt.agents import (
+    format_failures,
+    load_template,
+    parse_hypotheses,
+    render_hypothesis_prompt,
+    render_reflection_prompt,
+    render_taxonomy,
+)
 from vistaopt.backends.base import RoleRouter
 from vistaopt.backends.http import HttpBackend
 from vistaopt.backends.synthetic import (
@@ -67,7 +74,8 @@ def test_criterion_2_baseline_stagnation():
     start = time.perf_counter()
     finals = []
     world = SyntheticWorldConfig()
-    assert world.alpha == 0.0  # free prior puts no mass on the planted cause
+    # the free prior puts no mass on the planted cause
+    assert world.free_prior.get(world.true_root_cause, 0.0) == 0.0
     for seed in range(10):
         result, _ = synthetic_run(seed=seed, world=world, mode="baseline")
         finals.append(result.best.val_accuracy)
@@ -86,7 +94,7 @@ def test_criterion_3_expected_rounds_bound():
     ok = True
     for beta, budget in ((0.3, 1000), (0.6, 500), (0.9, 300)):
         world = SyntheticWorldConfig(heuristic_success=beta)
-        assert world.alpha == 0.0
+        assert world.free_prior.get(world.true_root_cause, 0.0) == 0.0
         rounds = []
         for seed in range(500):
             result, _ = synthetic_run(seed=seed, world=world, p=0.0, epsilon=0.0,
@@ -184,9 +192,10 @@ def test_criterion_6_trace_integrity():
 
 def test_criterion_7_template_fidelity():
     taxonomy = default_taxonomy()
-    failures = [FailureCase(question="q", gold="1", raw_output="r", parse_error=None)]
+    failures = format_failures(
+        [FailureCase(question="q", gold="1", raw_output="r", parse_error=None)])
     hyp_text = render_hypothesis_prompt(
-        load_template("hypothesis"), "PROMPT", taxonomy, failures, 3)
+        load_template("hypothesis"), "PROMPT", render_taxonomy(taxonomy), failures, 3)
     refl_text = render_reflection_prompt(
         load_template("reflection"), "PROMPT",
         Hypothesis(label="cot_field_ordering", description="d", fix="f",

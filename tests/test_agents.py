@@ -12,7 +12,7 @@ from vistaopt.agents import (
     render_reflection_prompt,
     render_taxonomy,
 )
-from vistaopt.domain import H_BLANK, Hypothesis
+from vistaopt.domain import Hypothesis
 from vistaopt.errors import EmptyRewriteError, MissingBindingError, NoBlocksFoundError
 from vistaopt.evaluation import FailureCase
 from vistaopt.trace import TraceEdge
@@ -34,13 +34,13 @@ FIX: Ask for intermediate steps.
 """
 
 
-def failures():
-    return [
+def failure_block():
+    return format_failures([
         FailureCase(question="What is 2 + 2?", gold="4",
                     raw_output='{"final_answer": "5"}', parse_error=None),
         FailureCase(question="What is 3 * 3?", gold="9",
                     raw_output="nonsense", parse_error="NoObjectFound"),
-    ]
+    ])
 
 
 def accepted_edge(iteration, label, pp):
@@ -51,9 +51,14 @@ def accepted_edge(iteration, label, pp):
 
 # ---------------------------------------------------------------- render
 
-def test_hypothesis_render_contains_exact_scaffold(taxonomy):
+@pytest.fixture()
+def taxonomy_block(taxonomy):
+    return render_taxonomy(taxonomy)
+
+
+def test_hypothesis_render_contains_exact_scaffold(taxonomy_block):
     template = load_template("hypothesis")
-    text = render_hypothesis_prompt(template, "PROMPT", taxonomy, failures(), 3)
+    text = render_hypothesis_prompt(template, "PROMPT", taxonomy_block, failure_block(), 3)
     for line in ("[HYPOTHESIS 1]", "[HYPOTHESIS 2]", "[HYPOTHESIS 3]",
                  "TAG: {taxonomy_id}", "generate exactly 3 diverse"):
         assert line in text
@@ -63,31 +68,31 @@ def test_hypothesis_render_contains_exact_scaffold(taxonomy):
     assert "Parse error: NoObjectFound" in text
 
 
-def test_hypothesis_render_deterministic(taxonomy):
+def test_hypothesis_render_deterministic(taxonomy_block):
     template = load_template("hypothesis")
-    a = render_hypothesis_prompt(template, "P", taxonomy, failures(), 3)
-    b = render_hypothesis_prompt(template, "P", taxonomy, failures(), 3)
+    a = render_hypothesis_prompt(template, "P", taxonomy_block, failure_block(), 3)
+    b = render_hypothesis_prompt(template, "P", taxonomy_block, failure_block(), 3)
     assert a == b
 
 
-def test_hypothesis_render_reshapes_blocks_for_k(taxonomy):
+def test_hypothesis_render_reshapes_blocks_for_k(taxonomy_block):
     template = load_template("hypothesis")
-    text = render_hypothesis_prompt(template, "P", taxonomy, failures(), 5)
+    text = render_hypothesis_prompt(template, "P", taxonomy_block, failure_block(), 5)
     assert "[HYPOTHESIS 5]" in text and "generate exactly 5 diverse" in text
     assert text.count("TAG: {taxonomy_id}") == 5
-    text1 = render_hypothesis_prompt(template, "P", taxonomy, failures(), 1)
+    text1 = render_hypothesis_prompt(template, "P", taxonomy_block, failure_block(), 1)
     assert "[HYPOTHESIS 2]" not in text1
 
 
-def test_hypothesis_render_history_section(taxonomy):
+def test_hypothesis_render_history_section(taxonomy_block):
     template = load_template("hypothesis")
     trajectory = [accepted_edge(1, "cot_field_ordering", 48.0)]
-    text = render_hypothesis_prompt(template, "P", taxonomy, failures(), 3, trajectory)
+    text = render_hypothesis_prompt(template, "P", taxonomy_block, failure_block(), 3, trajectory)
     assert "OPTIMIZATION HISTORY:\nround 1: cot_field_ordering (Δval=+48pp)" in text
     # the section sits between the current prompt and the taxonomy
     assert text.index("CURRENT SYSTEM PROMPT") < text.index("OPTIMIZATION HISTORY") \
         < text.index("ERROR TAXONOMY")
-    without = render_hypothesis_prompt(template, "P", taxonomy, failures(), 3, [])
+    without = render_hypothesis_prompt(template, "P", taxonomy_block, failure_block(), 3, [])
     assert "OPTIMIZATION HISTORY" not in without
 
 
@@ -106,28 +111,17 @@ def test_failure_blocks_truncate_long_outputs():
 def test_reflection_render_contains_label(taxonomy):
     template = load_template("reflection")
     hyp = Hypothesis(label="cot_field_ordering", description="d", fix="f", origin="heuristic")
-    text = render_reflection_prompt(template, "SEED PROMPT", hyp, failures())
+    text = render_reflection_prompt(template, "SEED PROMPT", hyp, failure_block())
     assert "Root cause label: cot_field_ordering" in text
     assert "Current prompt:\nSEED PROMPT" in text
     assert "Question: What is 2 + 2?" in text
 
 
-def test_reflection_render_blank_hypothesis(taxonomy):
-    template = load_template("reflection")
-    probe = [FailureCase(question="", gold="", raw_output="raw text", parse_error=None)]
-    text = render_reflection_prompt(template, "IGNORED PARENT", H_BLANK, probe)
-    # conditions on nothing: the parent prompt is not included
-    assert "IGNORED PARENT" not in text
-    assert "Current prompt:\n\n" in text
-    assert "Raw output: raw text" in text
-    assert "Question:" not in text
-
-
 def test_reflection_render_deterministic():
     template = load_template("reflection")
     hyp = Hypothesis(label="x", description="d", fix="f", origin="free")
-    a = render_reflection_prompt(template, "P", hyp, [])
-    b = render_reflection_prompt(template, "P", hyp, [])
+    a = render_reflection_prompt(template, "P", hyp, format_failures([]))
+    b = render_reflection_prompt(template, "P", hyp, format_failures([]))
     assert a == b
 
 
@@ -137,7 +131,7 @@ def test_render_missing_binding():
         template.render({"label": "x"})
 
 
-def test_render_never_substitutes_into_bound_text(taxonomy):
+def test_render_never_substitutes_into_bound_text(taxonomy_block):
     """A prompt that names every placeholder is kept as it is: substituting
     into bound text would depend on the order of placeholder names, which
     str hashing sets, so on PYTHONHASHSEED."""
@@ -148,10 +142,10 @@ def test_render_never_substitutes_into_bound_text(taxonomy):
 
     hyp = Hypothesis(label="x", description="d", fix="f", origin="heuristic")
     prompt = naming(REFLECTION_PLACEHOLDERS)
-    assert prompt in render_reflection_prompt(load_template("reflection"), prompt, hyp, failures())
+    assert prompt in render_reflection_prompt(load_template("reflection"), prompt, hyp, failure_block())
     prompt = naming(HYPOTHESIS_PLACEHOLDERS)
-    assert prompt in render_hypothesis_prompt(load_template("hypothesis"), prompt, taxonomy,
-                                              failures(), 3, [accepted_edge(1, "x", 2.0)])
+    assert prompt in render_hypothesis_prompt(load_template("hypothesis"), prompt, taxonomy_block,
+                                              failure_block(), 3, [accepted_edge(1, "x", 2.0)])
 
 
 # ----------------------------------------------------------------- parse

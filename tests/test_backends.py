@@ -168,7 +168,7 @@ def test_hypothesis_shape_three_blocks(synthetic_backend):
 
 
 def test_alpha_zero_free_slots_never_carry_root_cause(world, dataset_50, taxonomy):
-    assert world.alpha == 0.0
+    assert world.free_prior.get(world.true_root_cause, 0.0) == 0.0
     backend = SyntheticBackend(world, dataset_50, taxonomy, run_seed=0)
     for i in range(200):
         request = GenerationRequest(
@@ -193,11 +193,12 @@ def test_heuristic_success_zero_never_proposes_root_cause(dataset_50, taxonomy):
 
 
 def test_reflection_role_round_trip(synthetic_backend, taxonomy, defective_seed):
-    from vistaopt.agents import load_template, render_reflection_prompt
+    from vistaopt.agents import format_failures, load_template, render_reflection_prompt
     from vistaopt.domain import Hypothesis
 
     hyp = Hypothesis(label="cot_field_ordering", description="d", fix="f", origin="heuristic")
-    prompt = render_reflection_prompt(load_template("reflection"), defective_seed, hyp, [])
+    prompt = render_reflection_prompt(load_template("reflection"), defective_seed, hyp,
+                                      format_failures([]))
     request = GenerationRequest(role="reflection_agent", messages=(("user", prompt),))
     rewritten = synthetic_backend.generate(request)
     assert extract_features(rewritten)["solution_first"] is True
@@ -216,12 +217,6 @@ def test_world_config_validation():
 
 def test_world_config_round_trip(world):
     assert SyntheticWorldConfig.from_dict(world.to_dict()) == world
-
-
-def test_world_alpha_reads_free_prior():
-    world = SyntheticWorldConfig(free_prior={"cot_field_ordering": 0.25,
-                                             "reasoning_strategy": 0.75})
-    assert world.alpha == 0.25
 
 
 # ----------------------------------------------------------------- router

@@ -263,6 +263,26 @@ def test_export_trace_failed_write_leaves_trace_intact(config_file, tmp_path, mo
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+def test_export_trace_unreadable_trace_exits_io_failure(config_file, tmp_path, monkeypatch,
+                                                       capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    before = (out / "trace.dot").read_bytes()
+    read_text = Path.read_text
+
+    def unreadable_trace(path, *args, **kwargs):
+        if path.name == "trace.json":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", unreadable_trace)
+    assert main(["export-trace", str(out)]) == EXIT_IO_FAILURE
+    assert "io failure: [Errno 13] Permission denied" in capsys.readouterr().err
+    assert main(["report", str(out)]) == EXIT_IO_FAILURE
+    monkeypatch.undo()
+    assert (out / "trace.dot").read_bytes() == before
+
+
 def test_report_failed_write_leaves_report_intact(config_file, tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK

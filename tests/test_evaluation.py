@@ -159,6 +159,19 @@ def test_delta_acc_identity_and_antisymmetry():
     assert delta_acc(a, b) == -delta_acc(b, a)
 
 
+def test_correct_count_sums_records_once(monkeypatch):
+    from vistaopt import evaluation
+
+    sums = []
+    monkeypatch.setattr(evaluation, "sum", lambda values: sums.append(1) or sum(values),
+                        raising=False)
+    result = make_result(["x", "y", "z"], [1, 0, 1])
+    assert result.correct_count == 2
+    assert delta_acc(result, result) == 0
+    assert result.correct_count == 2
+    assert len(sums) == 1
+
+
 def test_delta_acc_minibatch_mismatch():
     a = make_result(["x", "y"], [1, 0])
     b = make_result(["y", "x"], [1, 0])

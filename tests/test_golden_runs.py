@@ -1,10 +1,13 @@
 """Golden run directories: every artifact file of a fixed set of runs must
-hash to the sha256 digest recorded in ``tests/data/golden_runs.json``.
+hash to the sha256 digest recorded in ``tests/data/golden_runs.json``, and
+the agent requests of each run, in call order, to the digest in
+``PROMPT_DIGESTS``.
 
-This pins behaviour-preserving refactors to byte-identical output across
-the round branches (hypotheses, restart, fallback, baseline mode) and the
-parallel merge order.  After an intended change of behaviour, regenerate
-the manifest with::
+This pins behaviour-preserving refactors to byte-identical output and
+agent prompts across the round branches (hypotheses, restart, fallback,
+baseline mode) and the parallel merge order.  After an intended change of
+behaviour, regenerate the manifest, and print the prompt digests to paste
+into ``PROMPT_DIGESTS``, with::
 
     PYTHONPATH=src python tests/test_golden_runs.py
 """
@@ -34,13 +37,56 @@ CONFIGS = {
     "free-K5-eps0.8-b800": dict(K=5, epsilon=0.8, budget=800),
 }
 
+# (agent requests, sha256 of ``role NUL text NUL`` per request in call order)
+PROMPT_DIGESTS = {
+    "vista-b500-parallel1":
+        (72, "2bc30959da37926868c676a1d9b6afe4d629dc2cf87e53bbd5274bf920ce9ee6"),
+    "vista-b500-parallel4":
+        (72, "2bc30959da37926868c676a1d9b6afe4d629dc2cf87e53bbd5274bf920ce9ee6"),
+    "baseline-b800":
+        (100, "6e691f50097c24dda793426f9e595294068670b60595120215c2c461e4bfcbdf"),
+    "restart-p0.7-b800":
+        (99, "bf4b27566a76612b8b4d7daed1943859a32807f46862d4e9132933ad97cbf7e3"),
+    "free-K5-eps0.8-b800":
+        (109, "527ba9c6d0027da7d3ef460131f1a8dbc04962c46016479194a01a3b2c9829e8"),
+}
 
-def run_digests(name: str, out_dir: Path, wrap=lambda backend: backend) -> dict[str, str]:
+
+class PromptRecorder:
+    """Forwards to ``inner``, declaring what it declares, and hashes every
+    agent request in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.in_process = getattr(inner, "in_process", False)
+        self.deterministic = getattr(inner, "deterministic", False)
+        self.requests = 0
+        self.sha = hashlib.sha256()
+
+    def generate(self, request):
+        if request.role != "base":
+            self.requests += 1
+            self.sha.update((request.role + "\0" + request.text() + "\0").encode("utf-8"))
+        return self.inner.generate(request)
+
+
+def golden_run(name: str, out_dir: Path | None = None, wrap=lambda backend: backend):
+    """Run config ``name`` and return its backend as wrapped."""
     dataset = make_synthetic_dataset(50, 50)
     taxonomy = default_taxonomy()
     backend = wrap(SyntheticBackend(SyntheticWorldConfig(), dataset, taxonomy, run_seed=0))
     run(RunConfig(rng_seed=0, **CONFIGS[name]), dataset, taxonomy, backend,
         load_seed_prompt("defective"), out_dir=out_dir)
+    return backend
+
+
+def prompt_digest(name: str) -> tuple[int, str]:
+    recorder = golden_run(name, wrap=PromptRecorder)
+    return recorder.requests, recorder.sha.hexdigest()
+
+
+def run_digests(name: str, out_dir: Path, wrap=lambda backend: backend) -> dict[str, str]:
+    golden_run(name, out_dir, wrap)
     return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out_dir.rglob("*")) if path.is_file()}
 
@@ -72,8 +118,19 @@ def test_pooled_dispatch_matches_golden_manifest(tmp_path):
     assert len(threads) > 1
 
 
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_agent_prompts_match_golden_digests(name):
+    """Every hypothesis and reflection request, the failure blocks included,
+    is byte-identical to the recorded run's."""
+    assert prompt_digest(name) == PROMPT_DIGESTS[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         manifest = {name: run_digests(name, Path(tmp) / name) for name in CONFIGS}
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {sum(len(v) for v in manifest.values())} digests to {MANIFEST}", file=sys.stderr)
+    print("PROMPT_DIGESTS = {")
+    for name in CONFIGS:
+        print(f"    {name!r}:\n        {prompt_digest(name)!r},")
+    print("}")

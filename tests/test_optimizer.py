@@ -8,10 +8,11 @@ import pytest
 
 from test_domain import check_candidate_invariants
 
-from vistaopt import optimizer
+from vistaopt import agents, evaluation, optimizer
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy
 from vistaopt.errors import TransportFailureError
+from vistaopt.evaluation import Evaluator
 from vistaopt.optimizer import (
     BRANCH_FALLBACK,
     BRANCH_HYPOTHESES,
@@ -178,6 +179,33 @@ def test_restart_cap_zero_skips(small_dataset):
     assert all(o.charge == 0 for o in result.outcomes)
     # the zero-charge stall guard terminates the run
     assert len(result.outcomes) == MAX_STALLED_ROUNDS
+
+
+def test_restart_reflection_sees_only_its_probe(small_dataset):
+    """The blank restart is conditioned on nothing: its reflection request
+    holds the probe's raw output and parse error, but neither the parent
+    prompt nor the probe's task fields."""
+    backend = ScriptedBackend(small_dataset, ["0.30"] * 3, restart_skill=0.58)
+    reflections = []
+    generate = backend.generate
+
+    def recording(request):
+        if request.role == "reflection_agent":
+            reflections.append(request.text())
+        return generate(request)
+
+    backend.generate = recording
+    config = RunConfig(K=3, p=1.0, epsilon=0.0, b=10, budget=17, rng_seed=0, mode="vista",
+                       max_parallel=1, restart_lookahead_cap=5)
+    result = run(config, small_dataset, default_taxonomy(), backend, "seed prompt skill:0.30")
+    assert [o.branch for o in result.outcomes] == [BRANCH_RESTART]
+    [text] = reflections
+    assert "Root cause label: none" in text
+    assert "Current prompt:\n\n" in text
+    assert re.search(r'^Raw output: \{"final_answer": ', text, re.MULTILINE)
+    assert "Parse error: none" in text
+    assert not re.search(r"^(Question|Gold answer):", text, re.MULTILINE)
+    assert "seed prompt" not in text
 
 
 def test_p_boundaries(small_dataset):
@@ -560,6 +588,44 @@ def test_short_hypothesis_reply_charges_only_metered_calls(dataset_50, taxonomy,
         assert len(outcome.proposals) == 1
         gated = len(dataset_50.val) if outcome.winner is not None else 0
         assert outcome.charge == config.b + gated
+
+
+@pytest.mark.parametrize("mode", ["vista", "baseline"])
+def test_each_agent_input_is_built_once(mode, dataset_50, taxonomy, defective_seed, monkeypatch):
+    """The taxonomy block is rendered once per run, the failure block once per
+    round for all of its agents, and each minibatch result sums its records
+    once however often its count is read."""
+    rendered, formatted, summed, results = [], [], [], []
+    monkeypatch.setattr(optimizer, "render_taxonomy",
+                        lambda *a: rendered.append(1) or agents.render_taxonomy(*a))
+    monkeypatch.setattr(optimizer, "format_failures",
+                        lambda *a, **kw: formatted.append(1) or agents.format_failures(*a, **kw))
+    monkeypatch.setattr(evaluation, "sum", lambda values: summed.append(1) or sum(values),
+                        raising=False)
+    evaluate_batches = Evaluator.evaluate_batches
+
+    def recording_batches(*args, **kwargs):
+        batch = evaluate_batches(*args, **kwargs)
+        results.extend(batch)
+        return batch
+
+    monkeypatch.setattr(Evaluator, "evaluate_batches", recording_batches)
+    config = RunConfig(rng_seed=0, budget=300, p=0.0, mode=mode, max_parallel=1)
+    engine = OptimizationRun(config, dataset_50, taxonomy,
+                             SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 0),
+                             defective_seed)
+    branches = set()
+    iteration = 0
+    while engine.ledger.remaining > 0:
+        iteration += 1
+        formatted.clear()
+        outcome = engine.step_round(iteration)
+        engine._apply(outcome)
+        branches.add(outcome.branch)
+        assert len(formatted) == 1, (iteration, outcome.branch)
+    assert branches >= ({BRANCH_FALLBACK} if mode == "baseline" else {BRANCH_HYPOTHESES})
+    assert len(rendered) == 1
+    assert summed and len(summed) == len([r for r in results if "correct_count" in vars(r)])
 
 
 def test_restart_lookahead_cap_reached_charges_single_probe(small_dataset):

@@ -53,27 +53,31 @@ class Backend(Protocol):
         unless the backend declares ``in_process = True`` (it is then called
         serially).  A backend that declares ``deterministic = True`` promises
         the same text for the same request, so the evaluator generates each
-        base (prompt, item) pair once per run.  Budget exhaustion is never
-        signalled here; the budget meters metric calls, not generations.
+        base (prompt, item) pair once per run.  Both are read per role, from
+        the backend serving the role (``declared``).  Budget exhaustion is
+        never signalled here; the budget meters metric calls, not generations.
         """
         ...
 
 
 class RoleRouter:
     """Dispatch requests to per-role backends, e.g. a synthetic base model
-    with HTTP-backed agents.  It declares ``in_process`` and ``deterministic``
-    as its base-role backend does, so with a synthetic base, HTTP reflections run one at a time."""
+    with HTTP-backed agents.  It declares nothing itself: each role's
+    requests run as that role's backend declares."""
 
     def __init__(self, default: Backend, **per_role: Backend):
         unknown = set(per_role) - set(ROLES)
         if unknown:
             raise ValueError(f"unknown roles: {sorted(unknown)}")
-        self._default = default
-        self._per_role = per_role
-        base = per_role.get("base", default)
-        self.in_process = getattr(base, "in_process", False)
-        self.deterministic = getattr(base, "deterministic", False)
+        self._backends = {role: per_role.get(role, default) for role in ROLES}
 
     def generate(self, request: GenerationRequest) -> str:
-        backend = self._per_role.get(request.role, self._default)
-        return backend.generate(request)
+        return self._backends[request.role].generate(request)
+
+
+def declared(backend: Backend, name: str, role: str) -> bool:
+    """Whether the backend serving ``role`` declares ``name`` (``in_process``
+    or ``deterministic``): a router's backend for that role, else ``backend``."""
+    if isinstance(backend, RoleRouter):
+        backend = backend._backends[role]
+    return getattr(backend, name, False)

@@ -7,6 +7,7 @@ Exit codes, flag grammar, and artifact layouts are documented in
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,7 @@ from .backends.http import HttpBackend
 from .backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from .domain import (
     RunConfig,
+    Taxonomy,
     default_taxonomy,
     load_config_file,
     load_dataset,
@@ -32,7 +34,7 @@ from .errors import (
     VistaError,
 )
 from .optimizer import run
-from .reports import build_report, load_trace, write_report
+from .reports import build_report, load_trace, read_artifact, write_report
 from .trace import export_tree
 
 EXIT_OK = 0
@@ -43,14 +45,37 @@ EXIT_TRANSPORT_FAILURE = 4
 EXIT_MISSING_ARTIFACTS = 5
 
 
-def _build_dataset(section: dict | None):
-    if not section or "synthetic" in (section or {}):
-        params = (section or {}).get("synthetic", {})
+def _section(config: dict, key: str) -> dict:
+    """The object under ``key``; ``{}`` when the key is absent or null."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise InvalidConfigError([f"{key} must be an object, got {value!r}"])
+    return value or {}
+
+
+def _path(section: dict, key: str, where: str = "", required: bool = False) -> str | None:
+    """The path string under ``key``; None when it is absent or null and not required."""
+    value = section.get(key)
+    if not isinstance(value, str) and (required or value is not None):
+        raise InvalidConfigError([f"{where}{key} must be a path string, got {value!r}"])
+    return value
+
+
+def _taxonomy(config: dict) -> Taxonomy:
+    """The run's taxonomy; ``optimize`` and ``report`` resolve it alike."""
+    path = _path(config, "taxonomy_path")
+    return load_taxonomy_path(path) if path else default_taxonomy()
+
+
+def _build_dataset(section: dict):
+    if not section or "synthetic" in section:
+        params = _section(section, "synthetic")
         return make_synthetic_dataset(
             train_size=params.get("train_size", 50),
             val_size=params.get("val_size", 50),
-        ), True
-    return load_dataset(section["train_path"], section["val_path"]), False
+        )
+    return load_dataset(_path(section, "train_path", "dataset.", required=True),
+                        _path(section, "val_path", "dataset.", required=True))
 
 
 def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
@@ -64,16 +89,21 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
         if seed is not None:
             file_config["rng_seed"] = seed
         config = RunConfig.from_dict(file_config)
-        dataset, synthetic_data = _build_dataset(file_config.get("dataset"))
+        dataset = _build_dataset(_section(file_config, "dataset"))
         validate_config(config, dataset)
-        taxonomy_path = file_config.get("taxonomy_path")
-        taxonomy = load_taxonomy_path(taxonomy_path) if taxonomy_path else default_taxonomy()
+        taxonomy = _taxonomy(file_config)
+        templates = _section(file_config, "templates")
+        template_paths = {name: _path(templates, name, "templates.")
+                          for name in ("hypothesis", "reflection")}
         seed_prompt = load_seed_prompt(seed_prompt_path)
-        world = SyntheticWorldConfig.from_dict(file_config.get("synthetic_world", {}))
+        try:
+            world = SyntheticWorldConfig.from_dict(_section(file_config, "synthetic_world"))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InvalidConfigError([f"synthetic_world: {exc}"]) from exc
         if backend_kind == "synthetic":
             backend = SyntheticBackend(world, dataset, taxonomy, config.rng_seed)
         elif backend_kind == "http":
-            backend = HttpBackend.from_config(file_config.get("http", {}))
+            backend = HttpBackend.from_config(_section(file_config, "http"))
         else:
             raise InvalidConfigError([f"unknown backend {backend_kind!r}"])
         resolved = dict(file_config)
@@ -89,7 +119,7 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
             seed_prompt=seed_prompt,
             out_dir=out_dir,
             resolved_config=resolved,
-            template_paths=file_config.get("templates"),
+            template_paths=template_paths,
         )
     except InvalidConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -142,12 +172,15 @@ def cmd_export_trace(run_dir: str, fmt: str = "dot") -> int:
 
 def cmd_report(run_dir: str) -> int:
     try:
-        taxonomy = default_taxonomy()
-        bundle = build_report(run_dir, taxonomy)
+        run_config = json.loads(read_artifact(Path(run_dir), "config.json"))
+        bundle = build_report(run_dir, _taxonomy(run_config))
         write_report(run_dir, bundle)
     except (MissingTraceError, MissingArtifactsError) as exc:
         print(f"missing artifacts: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
+    except IoFailureError as exc:
+        print(f"io failure: {exc}", file=sys.stderr)
+        return EXIT_IO_FAILURE
     except (ValueError, VistaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

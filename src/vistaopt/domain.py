@@ -270,29 +270,38 @@ class RunConfig:
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_fraction(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+
+
 def validate_config(cfg: RunConfig, ds: TaskDataset) -> RunConfig:
     """Check every RunConfig invariant against the dataset; raises
-    InvalidConfigError carrying the full violation list."""
+    InvalidConfigError carrying the full violation list.  Each field's type
+    is checked before its range; a bool is neither an integer nor a number."""
     violations = []
-    if not isinstance(cfg.K, int) or cfg.K < 1:
+    if not _is_int(cfg.K) or cfg.K < 1:
         violations.append(f"K must be a positive integer, got {cfg.K!r}")
-    if not 0.0 <= cfg.p <= 1.0:
-        violations.append(f"p must be in [0, 1], got {cfg.p!r}")
-    if not 0.0 <= cfg.epsilon <= 1.0:
-        violations.append(f"epsilon must be in [0, 1], got {cfg.epsilon!r}")
-    if not isinstance(cfg.b, int) or cfg.b < 1:
+    if not _is_fraction(cfg.p):
+        violations.append(f"p must be a number in [0, 1], got {cfg.p!r}")
+    if not _is_fraction(cfg.epsilon):
+        violations.append(f"epsilon must be a number in [0, 1], got {cfg.epsilon!r}")
+    if not _is_int(cfg.b) or cfg.b < 1:
         violations.append(f"b must be a positive integer, got {cfg.b!r}")
     elif cfg.b > len(ds.train):
         violations.append(f"b={cfg.b} exceeds train size {len(ds.train)}")
-    if not isinstance(cfg.budget, int) or cfg.budget < 0:
+    if not _is_int(cfg.budget) or cfg.budget < 0:
         violations.append(f"budget must be a non-negative integer, got {cfg.budget!r}")
-    if not isinstance(cfg.rng_seed, int):
+    if not _is_int(cfg.rng_seed):
         violations.append(f"rng_seed must be an integer, got {cfg.rng_seed!r}")
     if cfg.mode not in VALID_MODES:
         violations.append(f"mode must be one of {VALID_MODES}, got {cfg.mode!r}")
-    if not isinstance(cfg.max_parallel, int) or cfg.max_parallel < 1:
+    if not _is_int(cfg.max_parallel) or cfg.max_parallel < 1:
         violations.append(f"max_parallel must be a positive integer, got {cfg.max_parallel!r}")
-    if not isinstance(cfg.restart_lookahead_cap, int) or cfg.restart_lookahead_cap < 0:
+    if not _is_int(cfg.restart_lookahead_cap) or cfg.restart_lookahead_cap < 0:
         violations.append(f"restart_lookahead_cap must be >= 0, got {cfg.restart_lookahead_cap!r}")
     if not ds.train or not ds.val:
         violations.append("dataset splits must both be non-empty")

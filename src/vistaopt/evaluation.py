@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Sequence
 
-from .backends.base import Backend, GenerationRequest
+from .backends.base import Backend, GenerationRequest, declared
 from .errors import MinibatchMismatchError
 
 if TYPE_CHECKING:
@@ -185,10 +185,10 @@ def score_output(item: "TaskItem", raw: str) -> EvaluationRecord:
 
 def generate_in_order(backend: Backend, requests: Sequence[GenerationRequest],
                       max_parallel: int) -> list[str]:
-    """Response texts for ``requests``, in request order.  They are generated
-    concurrently up to ``max_parallel``, or serially for a backend that
-    declares ``in_process``, where threads cost more than the work."""
-    if max_parallel > 1 and len(requests) > 1 and not getattr(backend, "in_process", False):
+    """Response texts for ``requests``, all of one role, in request order,
+    generated concurrently up to ``max_parallel``, or serially when the role's
+    backend declares ``in_process``, where threads cost more than the work."""
+    if max_parallel > 1 and len(requests) > 1 and not declared(backend, "in_process", requests[0].role):
         with ThreadPoolExecutor(max_workers=max_parallel) as pool:
             return list(pool.map(backend.generate, requests))
     return [backend.generate(request) for request in requests]
@@ -218,7 +218,7 @@ class Evaluator:
         self.max_parallel = max(1, int(max_parallel))
         self.metric_calls = 0
         self.uncharged_calls = 0
-        memo = getattr(backend, "deterministic", False)
+        memo = declared(backend, "deterministic", "base")
         self._memo: dict[tuple[str, "TaskItem"], EvaluationRecord] | None = {} if memo else None
         self._scores: dict[tuple["TaskItem", str], EvaluationRecord] | None = {} if memo else None
 

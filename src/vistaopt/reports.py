@@ -4,6 +4,8 @@ events."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +35,7 @@ class ReportBundle:
             raise AssertionError("best accuracy must be non-decreasing")
 
 
-def _read_artifact(run_dir: Path, name: str) -> str:
+def read_artifact(run_dir: Path, name: str) -> str:
     path = run_dir / name
     if not path.is_file():
         raise MissingArtifactsError(f"{name} not found in {run_dir}")
@@ -48,10 +50,10 @@ def load_trace(run_dir: str | Path) -> SemanticTraceTree:
 
 
 def build_best_curve(run_dir: Path) -> list[tuple[int, float]]:
-    ledger = json.loads(_read_artifact(run_dir, "ledger.json"))
+    ledger = json.loads(read_artifact(run_dir, "ledger.json"))
     trace = load_trace(run_dir)
     # The journal's lines are in iteration order.
-    journal = _read_artifact(run_dir, "rounds.jsonl")
+    journal = read_artifact(run_dir, "rounds.jsonl")
     outcomes = [json.loads(line) for line in journal.splitlines()]
 
     seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
@@ -126,8 +128,11 @@ def write_report(run_dir: str | Path, bundle: ReportBundle) -> None:
         lines.append(f"{calls},{acc:.6f}")
     write_atomic(run_dir / "report.csv", "\n".join(lines) + "\n")
 
-    lines = ["label,accepted,rejected"]
-    for label, counts in bundle.attribution_histogram.items():
-        lines.append(f"{label},{counts['accepted']},{counts['rejected']}")
-    write_atomic(run_dir / "attribution.csv", "\n".join(lines) + "\n")
+    # Taxonomy ids come from outside input, so labels are CSV-quoted as needed.
+    attribution = io.StringIO()
+    writer = csv.writer(attribution, lineterminator="\n")
+    writer.writerow(("label", "accepted", "rejected"))
+    writer.writerows((label, counts["accepted"], counts["rejected"])
+                     for label, counts in bundle.attribution_histogram.items())
+    write_atomic(run_dir / "attribution.csv", attribution.getvalue())
     write_atomic(run_dir / "oscillations.json", json_text(bundle.oscillation_events))

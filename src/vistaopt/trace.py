@@ -159,11 +159,12 @@ class SemanticTraceTree:
         for e in self.edges:
             if e.from_id is None:
                 continue
+            # Taxonomy ids come from outside input; free labels are slugified.
+            label = e.label.replace("\\", "\\\\").replace('"', '\\"')
             if e.status == ACCEPTED:
-                label = f"{e.label} {e.delta_val_pp:+g}pp"
+                label = f"{label} {e.delta_val_pp:+g}pp"
                 style = ""
             else:
-                label = e.label
                 style = ", style=dashed"
             lines.append(f'  "{e.from_id}" -> "{e.to_id}" [label="{label}"{style}];')
         lines.append("}")

@@ -67,6 +67,31 @@ def test_optimize_invalid_config(tmp_path, config_file):
     assert code == EXIT_INVALID_CONFIG
 
 
+@pytest.mark.parametrize("override, flags", [
+    ({"p": "0.2"}, []),
+    ({"epsilon": None}, []),
+    ({"max_parallel": True}, []),
+    ({"dataset": {"train_path": "x"}}, []),
+    ({"templates": "x"}, []),
+    ({"templates": {"hypothesis": 5}}, []),
+    ({"taxonomy_path": 5}, []),
+    ({"synthetic_world": {"feature_weights": "x"}}, []),
+    ({"synthetic_world": {"base_accuracy": 2}}, []),
+    ({"http": []}, ["--backend", "http"]),
+], ids=["p-string", "epsilon-null", "max_parallel-bool", "dataset-no-val_path", "templates-string",
+        "template-path-int", "taxonomy_path-int", "feature_weights-string", "base_accuracy-2",
+        "http-list"])
+def test_optimize_malformed_config_value_exits_invalid_config(override, flags, tmp_path,
+                                                              config_file, capsys):
+    data = {**json.loads(config_file.read_text()), **override}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["optimize", str(bad), "defective", str(tmp_path / "run"), *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID_CONFIG
+    assert err.startswith("invalid configuration:") and "Traceback" not in err
+
+
 def test_optimize_seed_override_changes_run(config_file, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -119,7 +144,7 @@ def test_report_missing_artifacts(tmp_path):
     assert main(["report", str(tmp_path)]) == EXIT_MISSING_ARTIFACTS
 
 
-@pytest.mark.parametrize("missing", ["ledger.json", "rounds.jsonl"])
+@pytest.mark.parametrize("missing", ["ledger.json", "rounds.jsonl", "config.json"])
 def test_report_missing_ledger_or_journal_exit_code(missing, config_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
@@ -174,6 +199,38 @@ def test_report_metric_calls_match_ledger(config_file, tmp_path):
     total = sum(c["amount"] for c in ledger["charges"])
     last_line = (out / "report.csv").read_text().splitlines()[-1]
     assert int(last_line.split(",")[0]) == total
+
+
+def test_report_lists_the_runs_own_taxonomy(tmp_path, config_file, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ids = ["alpha_mode", "beta_mode"]
+    Path("tax.yaml").write_text("".join(f"- id: {i}\n  name: {i}\n  description: {i}\n"
+                                        for i in ids), encoding="utf-8")
+    data = {**json.loads(config_file.read_text()), "taxonomy_path": "tax.yaml"}
+    Path("tax.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["optimize", "tax.json", "defective", "run"]) == EXIT_OK
+    assert main(["report", "run"]) == EXIT_OK
+    rows = Path("run/attribution.csv").read_text(encoding="utf-8").splitlines()[1:]
+    labels = [row.split(",")[0] for row in rows]
+    assert labels[:2] == ids
+    carried = {edge["label"] for edge in json.loads(Path("run/trace.json").read_text())["edges"]}
+    assert set(labels[2:]) == carried - set(ids)
+    assert not set(default_taxonomy().ids) & set(labels) - carried
+
+
+def test_report_unreadable_taxonomy_exits_io_failure(tmp_path, config_file, capsys):
+    taxonomy = tmp_path / "tax.yaml"
+    taxonomy.write_text("- id: alpha_mode\n  name: a\n  description: a\n", encoding="utf-8")
+    data = {**json.loads(config_file.read_text()), "taxonomy_path": str(taxonomy)}
+    cfg = tmp_path / "tax.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["optimize", str(cfg), "defective", str(out)]) == EXIT_OK
+    taxonomy.unlink()
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_IO_FAILURE
+    assert capsys.readouterr().err.startswith("io failure:")
+    assert not (out / "attribution.csv").exists()
 
 
 def test_optimize_with_template_override(tmp_path, config_file):

@@ -415,37 +415,40 @@ def test_no_memo_without_deterministic(world, dataset_50, taxonomy, defective_se
 
 def test_role_router_memoized_exactly_when_its_base_backend_is(world, dataset_50, taxonomy,
                                                                defective_seed):
-    """The evaluator sends a router only base-role requests, so the router
-    declares ``in_process`` and ``deterministic`` as its base-role backend."""
+    """The evaluator sends only base-role requests, so through a router they
+    are memoized and serial exactly when the base-role backend declares so."""
     from vistaopt.backends.base import RoleRouter
 
     class Canned:
         def generate(self, request):
             return "canned"
 
-    def evaluate_twice(ev):
+    class ThreadRecordingSynthetic(CountingSynthetic):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.threads = set()
+
+        def generate(self, request):
+            self.threads.add(threading.get_ident())
+            return super().generate(request)
+
+    def evaluate_twice(router):
+        ev = Evaluator(router, max_parallel=2)
         ids = [item.id for item in dataset_50.train[:8]]
         a = ev.evaluate_batches([defective_seed, defective_seed], dataset_50, ids, charged=True)
         b = ev.evaluate_batches([defective_seed], dataset_50, ids, charged=False)
         assert a[0] == a[1] == b[0]
         assert (ev.metric_calls, ev.uncharged_calls) == (16, 8)
 
-    counting = CountingSynthetic(world, dataset_50, taxonomy)
-    router = RoleRouter(counting, hypothesis_agent=Canned())
-    assert router.in_process and router.deterministic
-    evaluate_twice(Evaluator(router, max_parallel=2))
-    assert counting.base_calls == 8
+    synthetic = ThreadRecordingSynthetic(world, dataset_50, taxonomy)
+    evaluate_twice(RoleRouter(synthetic, hypothesis_agent=Canned()))
+    assert synthetic.base_calls == 8
+    assert synthetic.threads == {threading.get_ident()}
 
     forwarding = ForwardingBackend(SyntheticBackend(world, dataset_50, taxonomy, run_seed=0))
-    router = RoleRouter(forwarding, hypothesis_agent=Canned())
-    assert not router.in_process and not router.deterministic
-    ev = Evaluator(router, max_parallel=2)
-    assert ev._memo is None and ev._scores is None
-    evaluate_twice(ev)
+    evaluate_twice(RoleRouter(SyntheticBackend(world, dataset_50, taxonomy, run_seed=0),
+                              base=forwarding))
     assert forwarding.calls == 24
-
-    router = RoleRouter(forwarding, base=counting)
-    assert router.in_process and router.deterministic
 
 
 def test_memo_failed_dispatch_changes_no_counter_or_record(world, dataset_50, taxonomy,

@@ -9,6 +9,7 @@ import pytest
 from test_domain import check_candidate_invariants
 
 from vistaopt import agents, evaluation, optimizer
+from vistaopt.backends.base import RoleRouter
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy
 from vistaopt.errors import TransportFailureError
@@ -445,6 +446,29 @@ def test_reflections_are_generated_concurrently_up_to_max_parallel(dataset_50, t
         assert [o.to_dict() for o in result.outcomes] == [o.to_dict() for o in serial.outcomes]
         assert result.trace == serial.trace
         assert result.ledger.total_charged() == result.evaluator.metric_calls
+
+
+@pytest.mark.parametrize("wrapper, peak", [(SlowReflections, 3), (InProcessSlowReflections, 1)])
+def test_routed_reflections_run_as_the_reflection_backend_declares(wrapper, peak, dataset_50,
+                                                                    taxonomy, defective_seed):
+    """Behind a router with a synthetic base, reflections are pooled unless
+    the reflection agent itself declares ``in_process``."""
+    def routed_run(max_parallel):
+        base = SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 2)
+        reflections = wrapper(base)
+        config = RunConfig(K=3, rng_seed=2, budget=150, max_parallel=max_parallel)
+        result = run(config, dataset_50, taxonomy, RoleRouter(base, reflection_agent=reflections),
+                     defective_seed)
+        assert any(o.branch == BRANCH_HYPOTHESES for o in result.outcomes)
+        return reflections.in_flight_max, result
+
+    serial_peak, serial = routed_run(1)
+    routed_peak, routed = routed_run(3)
+    assert (serial_peak, routed_peak) == (1, peak)
+    assert [o.to_dict() for o in routed.outcomes] == [o.to_dict() for o in serial.outcomes]
+    assert routed.trace == serial.trace
+    assert routed.ledger == serial.ledger
+    assert routed.ledger.total_charged() == routed.evaluator.metric_calls
 
 
 def test_concurrent_empty_rewrite_drops_only_its_slot(small_dataset):

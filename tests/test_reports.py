@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import pytest
 
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
-from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt
+from vistaopt.domain import RunConfig, Taxonomy, TaxonomyEntry, default_taxonomy, load_seed_prompt
 from vistaopt.errors import MissingArtifactsError, MissingTraceError
 from vistaopt.optimizer import run
 from vistaopt.reports import (
@@ -13,6 +15,7 @@ from vistaopt.reports import (
     build_report,
     find_oscillations,
     load_trace,
+    write_report,
 )
 from vistaopt.trace import SemanticTraceTree, TraceEdge, TraceNode
 
@@ -52,6 +55,34 @@ def test_attribution_histogram_includes_all_taxonomy_labels(taxonomy):
         assert histogram[tid] == {"accepted": 0, "rejected": 0}
     assert histogram["A"] == {"accepted": 2, "rejected": 0}
     assert histogram["B"] == {"accepted": 2, "rejected": 0}
+
+
+def test_outside_labels_are_escaped_in_attribution_csv_and_dot(tmp_path):
+    quoted, comma = 'say "why"', "format, syntax"
+    joint, free = "cot_field_ordering+format_and_syntax", "free:tone"
+    taxonomy = Taxonomy(entries=tuple(TaxonomyEntry(id=i, name=i, description=i)
+                                      for i in (quoted, comma, "cot_field_ordering")))
+    tree = SemanticTraceTree.with_root(TraceNode(id=0, val_accuracy=0.3))
+    tree.record_proposal(
+        TraceEdge(from_id=0, to_id=1, label=quoted, delta_minibatch=1, status="accepted",
+                  iteration=1, origin="heuristic", delta_val_pp=10.0),
+        TraceNode(id=1, val_accuracy=0.4))
+    for i, label in enumerate((comma, joint, free), start=2):
+        tree.record_proposal(
+            TraceEdge(from_id=1, to_id=i, label=label, delta_minibatch=0, status="rejected",
+                      iteration=i, origin="heuristic"),
+            TraceNode(id=i, correct_count=1, minibatch_size=8))
+    write_report(tmp_path, ReportBundle(best_curve=[(0, 0.3)],
+                                        attribution_histogram=build_attribution_histogram(tree, taxonomy)))
+    text = (tmp_path / "attribution.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows] == ["label", quoted, comma, "cot_field_ordering", joint, free]
+    # Plain labels are written as before, unquoted.
+    assert text.splitlines()[3:] == ["cot_field_ordering,0,0", f"{joint},0,1", f"{free},0,1"]
+    dot = tree.to_dot()
+    assert '"0" -> "1" [label="say \\"why\\" +10pp"];' in dot
+    assert f'"1" -> "4" [label="{free}", style=dashed];' in dot
 
 
 @pytest.fixture()

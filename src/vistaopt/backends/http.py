@@ -28,10 +28,12 @@ import threading
 import time
 import warnings
 import zlib
+from typing import Annotated
 from urllib.parse import urlsplit
 
 import requests
 
+from ..domain import Range, check_config
 from ..errors import InvalidConfigError, TransportFailureError
 from .base import QWEN_BASE_SAMPLING, GenerationRequest
 
@@ -69,11 +71,12 @@ class HttpBackend:
         base_url: str | None = None,
         model: str = "qwen3-4b",
         role_models: dict[str, str] | None = None,
-        api_key: str | None = None,
-        timeout: float = 120.0,
-        max_retries: int = 3,
-        backoff_base: float = 0.5,
+        timeout: Annotated[float, Range(exclusiveMinimum=0)] = 120.0,
+        max_retries: Annotated[int, Range(minimum=0)] = 3,
+        backoff_base: Annotated[float, Range(minimum=0)] = 0.5,
         max_in_flight: int | None = None,
+        *,
+        api_key: str | None = None,  # keyword-only, so never a config key
     ):
         base_url = base_url or os.environ.get(BASE_URL_ENV)
         if not base_url:
@@ -105,9 +108,8 @@ class HttpBackend:
 
     @classmethod
     def from_config(cls, section: dict) -> "HttpBackend":
-        known = {"base_url", "model", "role_models", "timeout", "max_retries",
-                 "backoff_base", "max_in_flight"}
-        return cls(**{k: v for k, v in section.items() if k in known})
+        """Build from a config's ``http`` section, checked against ``__init__``."""
+        return cls(**check_config(section, [("", cls.__init__)])[0])
 
     def _model_for(self, role: str) -> str:
         return self.role_models.get(role, self.model)

@@ -14,18 +14,21 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Annotated, Mapping
 
 from ..domain import (
     BLANK_LABEL,
     UNCLASSIFIED_ID,
     UNLABELED,
+    Range,
     TaskDataset,
     TaskItem,
     Taxonomy,
+    check_config,
     strip_free_prefix,
 )
+from ..errors import InvalidConfigError
 from .base import GenerationRequest
 
 SOLUTION_FIELD = "solution_pad"
@@ -79,8 +82,8 @@ _TAG_NOTES = {
 @dataclass(frozen=True)
 class SyntheticWorldConfig:
     true_root_cause: str = "cot_field_ordering"
-    base_accuracy: float = 0.24
-    feature_weights: Mapping[str, float] = field(
+    base_accuracy: Annotated[float, Range(minimum=0, maximum=1)] = 0.24
+    feature_weights: Mapping[str, Annotated[float, Range(minimum=0, maximum=1)]] = field(
         default_factory=lambda: {
             "solution_first": 0.63,
             "has_cot_directive": 0.0,
@@ -89,7 +92,7 @@ class SyntheticWorldConfig:
     )
     # The reflector's unconstrained attribution distribution; the planted
     # root cause getting zero mass models the attribution blindspot.
-    free_prior: Mapping[str, float] = field(
+    free_prior: Mapping[str, Annotated[float, Range(minimum=0, maximum=1)]] = field(
         default_factory=lambda: {
             "task_instruction_clarity": 0.7,
             "missing_domain_knowledge": 0.2,
@@ -98,7 +101,7 @@ class SyntheticWorldConfig:
     )
     # Probability per round that the taxonomy-guided slots include the true
     # root cause (when at least one heuristic slot exists).
-    heuristic_success: float = 0.8
+    heuristic_success: Annotated[float, Range(minimum=0, maximum=1)] = 0.8
     fix_table: Mapping[str, str] = field(
         default_factory=lambda: {"cot_field_ordering": ORDER_FIX}
     )
@@ -106,23 +109,17 @@ class SyntheticWorldConfig:
     extra_features: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_config(vars(self), [("", SyntheticWorldConfig)])
         total = sum(self.free_prior.values())
         if self.free_prior and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"free_prior must sum to 1, got {total}")
-        for name, w in self.feature_weights.items():
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"feature weight {name}={w} outside [0, 1]")
-        if not 0.0 <= self.base_accuracy <= 1.0:
-            raise ValueError("base_accuracy outside [0, 1]")
-        if not 0.0 <= self.heuristic_success <= 1.0:
-            raise ValueError("heuristic_success outside [0, 1]")
+            raise InvalidConfigError([f"free_prior must sum to 1, got {total}"])
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SyntheticWorldConfig":
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        return cls(**check_config(data, [("", cls)])[0])
 
 
 def extract_features(prompt_text: str,
@@ -184,7 +181,8 @@ def synthetic_base_answer(features: Mapping[str, bool], item: TaskItem,
     return json.dumps(payload)
 
 
-def make_synthetic_dataset(train_size: int = 50, val_size: int = 50) -> TaskDataset:
+def make_synthetic_dataset(train_size: Annotated[int, Range(minimum=0)] = 50,
+                           val_size: Annotated[int, Range(minimum=0)] = 50) -> TaskDataset:
     """Items with difficulties on the equally spaced grid i/(n-1), so val
     accuracy tracks the skill level to within 1/n."""
 

@@ -17,8 +17,7 @@ from .backends.http import HttpBackend
 from .backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from .domain import (
     RunConfig,
-    Taxonomy,
-    default_taxonomy,
+    check_config,
     load_config_file,
     load_dataset,
     load_seed_prompt,
@@ -45,37 +44,9 @@ EXIT_TRANSPORT_FAILURE = 4
 EXIT_MISSING_ARTIFACTS = 5
 
 
-def _section(config: dict, key: str) -> dict:
-    """The object under ``key``; ``{}`` when the key is absent or null."""
-    value = config.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise InvalidConfigError([f"{key} must be an object, got {value!r}"])
-    return value or {}
-
-
-def _path(section: dict, key: str, where: str = "", required: bool = False) -> str | None:
-    """The path string under ``key``; None when it is absent or null and not required."""
-    value = section.get(key)
-    if not isinstance(value, str) and (required or value is not None):
-        raise InvalidConfigError([f"{where}{key} must be a path string, got {value!r}"])
-    return value
-
-
-def _taxonomy(config: dict) -> Taxonomy:
-    """The run's taxonomy; ``optimize`` and ``report`` resolve it alike."""
-    path = _path(config, "taxonomy_path")
-    return load_taxonomy_path(path) if path else default_taxonomy()
-
-
-def _build_dataset(section: dict):
-    if not section or "synthetic" in section:
-        params = _section(section, "synthetic")
-        return make_synthetic_dataset(
-            train_size=params.get("train_size", 50),
-            val_size=params.get("val_size", 50),
-        )
-    return load_dataset(_path(section, "train_path", "dataset.", required=True),
-                        _path(section, "val_path", "dataset.", required=True))
+def _template_paths(hypothesis: str | None = None, reflection: str | None = None) -> dict:
+    """The ``templates`` section: override files for the shipped agent templates."""
+    return {"hypothesis": hypothesis, "reflection": reflection}
 
 
 def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
@@ -88,22 +59,26 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
             file_config["mode"] = mode
         if seed is not None:
             file_config["rng_seed"] = seed
-        config = RunConfig.from_dict(file_config)
-        dataset = _build_dataset(_section(file_config, "dataset"))
+        # A dataset object with keys but no "synthetic" names line-delimited files.
+        section = file_config.get("dataset")
+        files = isinstance(section, dict) and section and "synthetic" not in section
+        where, build = (("dataset", load_dataset) if files
+                        else ("dataset.synthetic", make_synthetic_dataset))
+        run_args, taxonomy_args, template_args, world_args, http_args, dataset_args = check_config(
+            file_config, [("", RunConfig), ("", load_taxonomy_path), ("templates", _template_paths),
+                          ("synthetic_world", SyntheticWorldConfig),
+                          ("http", HttpBackend.__init__), (where, build)])
+        config = RunConfig(**run_args)
+        dataset = build(**dataset_args)
         validate_config(config, dataset)
-        taxonomy = _taxonomy(file_config)
-        templates = _section(file_config, "templates")
-        template_paths = {name: _path(templates, name, "templates.")
-                          for name in ("hypothesis", "reflection")}
+        taxonomy = load_taxonomy_path(**taxonomy_args)
+        template_paths = _template_paths(**template_args)
         seed_prompt = load_seed_prompt(seed_prompt_path)
-        try:
-            world = SyntheticWorldConfig.from_dict(_section(file_config, "synthetic_world"))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise InvalidConfigError([f"synthetic_world: {exc}"]) from exc
+        world = SyntheticWorldConfig(**world_args)
         if backend_kind == "synthetic":
             backend = SyntheticBackend(world, dataset, taxonomy, config.rng_seed)
         elif backend_kind == "http":
-            backend = HttpBackend.from_config(_section(file_config, "http"))
+            backend = HttpBackend(**http_args)
         else:
             raise InvalidConfigError([f"unknown backend {backend_kind!r}"])
         resolved = dict(file_config)
@@ -173,7 +148,8 @@ def cmd_export_trace(run_dir: str, fmt: str = "dot") -> int:
 def cmd_report(run_dir: str) -> int:
     try:
         run_config = json.loads(read_artifact(Path(run_dir), "config.json"))
-        bundle = build_report(run_dir, _taxonomy(run_config))
+        (taxonomy_args,) = check_config(run_config, [("", load_taxonomy_path)])
+        bundle = build_report(run_dir, load_taxonomy_path(**taxonomy_args))
         write_report(run_dir, bundle)
     except (MissingTraceError, MissingArtifactsError) as exc:
         print(f"missing artifacts: {exc}", file=sys.stderr)

@@ -9,11 +9,16 @@ concurrent evaluation workers; updated views are produced with
 from __future__ import annotations
 
 import functools
+import inspect
 import json
+import math
+import operator
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Annotated, Mapping, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -38,8 +43,6 @@ UNLABELED = "unlabeled"
 UNCLASSIFIED_ID = "unclassified_custom"
 
 FREE_PREFIX = "free:"
-
-VALID_MODES = ("vista", "baseline")
 
 
 def slugify(text: str) -> str:
@@ -153,11 +156,15 @@ def load_taxonomy(source: str) -> Taxonomy:
     return Taxonomy(entries=tuple(entries))
 
 
-def load_taxonomy_path(path: str | Path) -> Taxonomy:
+def load_taxonomy_path(taxonomy_path: str | Path | None = None) -> Taxonomy:
+    """The taxonomy file at ``taxonomy_path``, the run config key; the shipped
+    taxonomy when it is absent or empty."""
+    if not taxonomy_path:
+        return default_taxonomy()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(taxonomy_path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise IoFailureError(f"cannot read taxonomy {path}: {exc}") from exc
+        raise IoFailureError(f"cannot read taxonomy {taxonomy_path}: {exc}") from exc
     return load_taxonomy(text)
 
 
@@ -250,16 +257,88 @@ def load_dataset(train_path: str | Path, val_path: str | Path) -> TaskDataset:
 # ------------------------------------------------------------ run config
 
 @dataclass(frozen=True)
+class Range:
+    """JSON Schema 2020-12 keywords on an ``Annotated`` config field."""
+
+    minimum: float | None = None
+    exclusiveMinimum: float | None = None
+    maximum: float | None = None
+    enum: tuple | None = None
+
+
+# How each Range keyword reads and tests a value, and how each annotated type
+# reads in JSON.
+_KEYWORDS = {"minimum": (">=", operator.ge), "exclusiveMinimum": (">", operator.gt),
+             "maximum": ("<=", operator.le), "enum": ("in", lambda value, enum: value in enum)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", Path: "a string",
+               NoneType: "null"}
+
+
+def _violation(hint, value) -> str | None:
+    """Why ``value`` lacks the type or ranges that ``hint`` annotates, or None;
+    a bool is neither an integer nor a number, a number is finite, and
+    nothing is coerced."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        return _violation(args[0], value) or next(
+            (f"{value!r} is not {_KEYWORDS[key][0]} {bound!r}" for r in args[1:]
+             for key, bound in vars(r).items()
+             if bound is not None and not _KEYWORDS[key][1](value, bound)), None)
+    if origin in (Union, UnionType):
+        reasons = [_violation(arm, value) for arm in args]
+        return None if None in reasons else reasons[0]
+    if origin is not None:  # Mapping[K, V] or dict[K, V]
+        if not isinstance(value, Mapping):
+            return f"{value!r} is not an object"
+        return next(filter(None, (_violation(args[1], v) for v in value.values())), None)
+    if (not isinstance(value, (int, float) if hint is float else hint) or isinstance(value, bool)
+            or hint is float and not -math.inf < value < math.inf):  # JSON has no NaN, Infinity
+        return f"{value!r} is not {_TYPE_NAMES[hint]}"
+    return None
+
+
+def check_config(config, sections) -> list[dict]:
+    """Check each section of ``config`` against the annotations of the code
+    that consumes it and return that code's keyword arguments.  ``sections``
+    pairs a dotted path ("" for the top level) with a dataclass or function,
+    whose config keys are its annotated parameters that can be passed by
+    position; a null section counts as absent and other keys are ignored.
+    Raises one InvalidConfigError listing every violation."""
+    violations, found = [], []
+    for where, target in sections:
+        section, path = config, ""
+        for key in filter(None, where.split(".")):
+            if isinstance(section, Mapping):
+                section, path = section.get(key), f"{path}{key}."
+        if section is not None and not isinstance(section, Mapping):
+            violations.append(f"{path[:-1] or 'config'}: {section!r} is not an object")
+            continue  # no arguments are returned once there is a violation
+        section = section or {}
+        hints = get_type_hints(target, include_extras=True)
+        params = [p for p in inspect.signature(target).parameters.values()
+                  if p.name in hints and p.kind is p.POSITIONAL_OR_KEYWORD]
+        for p in params:
+            if p.name in section and (reason := _violation(hints[p.name], section[p.name])):
+                violations.append(f"{path}{p.name}: {reason}")
+            elif p.name not in section and p.default is p.empty:
+                violations.append(f"{path}{p.name} is required")
+        found.append({p.name: section[p.name] for p in params if p.name in section})
+    if violations:
+        raise InvalidConfigError(violations)
+    return found
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    K: int = 3
-    p: float = 0.2
-    epsilon: float = 0.1
-    b: int = 8
-    budget: int = 500
+    K: Annotated[int, Range(minimum=1)] = 3
+    p: Annotated[float, Range(minimum=0, maximum=1)] = 0.2
+    epsilon: Annotated[float, Range(minimum=0, maximum=1)] = 0.1
+    b: Annotated[int, Range(minimum=1)] = 8
+    budget: Annotated[int, Range(minimum=0)] = 500
     rng_seed: int = 0
-    mode: str = "vista"
-    max_parallel: int = 4
-    restart_lookahead_cap: int = 5
+    mode: Annotated[str, Range(enum=("vista", "baseline"))] = "vista"
+    max_parallel: Annotated[int, Range(minimum=1)] = 4
+    restart_lookahead_cap: Annotated[int, Range(minimum=0)] = 5
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -267,42 +346,16 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Keys that are not fields (config-file sections) are ignored."""
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_fraction(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+        return cls(**check_config(data, [("", cls)])[0])
 
 
 def validate_config(cfg: RunConfig, ds: TaskDataset) -> RunConfig:
-    """Check every RunConfig invariant against the dataset; raises
-    InvalidConfigError carrying the full violation list.  Each field's type
-    is checked before its range; a bool is neither an integer nor a number."""
+    """Check ``cfg``'s fields against their annotations, then the rules that
+    span the dataset: ``b`` at most the train size, both splits non-empty."""
+    check_config(vars(cfg), [("", RunConfig)])
     violations = []
-    if not _is_int(cfg.K) or cfg.K < 1:
-        violations.append(f"K must be a positive integer, got {cfg.K!r}")
-    if not _is_fraction(cfg.p):
-        violations.append(f"p must be a number in [0, 1], got {cfg.p!r}")
-    if not _is_fraction(cfg.epsilon):
-        violations.append(f"epsilon must be a number in [0, 1], got {cfg.epsilon!r}")
-    if not _is_int(cfg.b) or cfg.b < 1:
-        violations.append(f"b must be a positive integer, got {cfg.b!r}")
-    elif cfg.b > len(ds.train):
+    if cfg.b > len(ds.train):
         violations.append(f"b={cfg.b} exceeds train size {len(ds.train)}")
-    if not _is_int(cfg.budget) or cfg.budget < 0:
-        violations.append(f"budget must be a non-negative integer, got {cfg.budget!r}")
-    if not _is_int(cfg.rng_seed):
-        violations.append(f"rng_seed must be an integer, got {cfg.rng_seed!r}")
-    if cfg.mode not in VALID_MODES:
-        violations.append(f"mode must be one of {VALID_MODES}, got {cfg.mode!r}")
-    if not _is_int(cfg.max_parallel) or cfg.max_parallel < 1:
-        violations.append(f"max_parallel must be a positive integer, got {cfg.max_parallel!r}")
-    if not _is_int(cfg.restart_lookahead_cap) or cfg.restart_lookahead_cap < 0:
-        violations.append(f"restart_lookahead_cap must be >= 0, got {cfg.restart_lookahead_cap!r}")
     if not ds.train or not ds.val:
         violations.append("dataset splits must both be non-empty")
     if violations:
@@ -311,8 +364,7 @@ def validate_config(cfg: RunConfig, ds: TaskDataset) -> RunConfig:
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Read the run config file: top-level keys mirror RunConfig exactly;
-    extra sections (dataset, synthetic_world, http) ride alongside."""
+    """Read the run config file, a JSON object; ``check_config`` checks it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

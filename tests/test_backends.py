@@ -15,6 +15,7 @@ from vistaopt.backends.synthetic import (
     synthetic_reflect,
 )
 from vistaopt.domain import TaskItem
+from vistaopt.errors import InvalidConfigError
 
 
 def base_request(system, user):
@@ -207,12 +208,14 @@ def test_reflection_role_round_trip(synthetic_backend, taxonomy, defective_seed)
 # ------------------------------------------------------------ world config
 
 def test_world_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         SyntheticWorldConfig(free_prior={"a": 0.5, "b": 0.4})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         SyntheticWorldConfig(base_accuracy=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         SyntheticWorldConfig(feature_weights={"solution_first": 2.0})
+    with pytest.raises(InvalidConfigError):
+        SyntheticWorldConfig(base_accuracy=True)
 
 
 def test_world_config_round_trip(world):

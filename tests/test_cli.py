@@ -7,6 +7,7 @@ import pytest
 from vistaopt.backends.http import HttpBackend
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.cli import (
+    EXIT_ERROR,
     EXIT_INVALID_CONFIG,
     EXIT_IO_FAILURE,
     EXIT_MISSING_ARTIFACTS,
@@ -16,6 +17,9 @@ from vistaopt.cli import (
 )
 from vistaopt.domain import default_taxonomy
 from vistaopt.errors import TransportFailureError
+
+
+CLOSED_PORT = "http://127.0.0.1:9"
 
 
 @pytest.fixture()
@@ -78,9 +82,31 @@ def test_optimize_invalid_config(tmp_path, config_file):
     ({"synthetic_world": {"feature_weights": "x"}}, []),
     ({"synthetic_world": {"base_accuracy": 2}}, []),
     ({"http": []}, ["--backend", "http"]),
+    ({"dataset": {"synthetic": {"train_size": "x"}}}, []),
+    ({"synthetic_world": {"extra_features": "x"}}, []),
+    ({"synthetic_world": {"fix_table": "x"}}, []),
+    ({"synthetic_world": {"true_root_cause": 5}}, []),
+    ({"synthetic_world": {"base_accuracy": True}}, []),
+    ({"synthetic_world": {"feature_weights": {"solution_first": True}}}, []),
+    ({"http": {"base_url": CLOSED_PORT, "timeout": "x"}}, ["--backend", "http"]),
+    ({"http": {"base_url": 5}}, ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "model": 5}}, ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "max_retries": "x"}}, ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "role_models": "x"}}, ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "max_retries": -1}}, ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "timeout": 0, "max_retries": 0}}, ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "timeout": float("nan"), "max_retries": 0}},
+     ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "timeout": float("inf"), "max_retries": 0}},
+     ["--backend", "http"]),
+    ({"http": {"timeout": "x"}}, []),
 ], ids=["p-string", "epsilon-null", "max_parallel-bool", "dataset-no-val_path", "templates-string",
         "template-path-int", "taxonomy_path-int", "feature_weights-string", "base_accuracy-2",
-        "http-list"])
+        "http-list", "train_size-string", "extra_features-string", "fix_table-string",
+        "true_root_cause-int", "base_accuracy-bool", "feature_weight-bool", "timeout-string",
+        "base_url-int", "model-int", "max_retries-string", "role_models-string",
+        "max_retries-negative", "timeout-0", "timeout-nan", "timeout-infinity",
+        "http-under-synthetic-backend"])
 def test_optimize_malformed_config_value_exits_invalid_config(override, flags, tmp_path,
                                                               config_file, capsys):
     data = {**json.loads(config_file.read_text()), **override}
@@ -156,10 +182,21 @@ def test_report_missing_ledger_or_journal_exit_code(missing, config_file, tmp_pa
     assert not (out / "report.csv").exists()
 
 
+def test_report_config_not_an_object_exits_error(config_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    (out / "config.json").write_text("[1]", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
 def test_optimize_transport_failure_exit_code(tmp_path, config_file):
     data = json.loads(config_file.read_text())
     # closed port, no retries: fails fast with the transport exit code
-    data["http"] = {"base_url": "http://127.0.0.1:9", "max_retries": 0,
+    data["http"] = {"base_url": CLOSED_PORT, "max_retries": 0,
                     "backoff_base": 0.0, "timeout": 0.5}
     cfg = tmp_path / "http.json"
     cfg.write_text(json.dumps(data), encoding="utf-8")
@@ -183,7 +220,7 @@ def test_optimize_closes_the_http_backend(fails, exit_code, tmp_path, config_fil
     monkeypatch.setattr(HttpBackend, "generate", generate)
     monkeypatch.setattr(HttpBackend, "close", lambda self: closed.append(self) or close(self))
     data = json.loads(config_file.read_text())
-    data["http"] = {"base_url": "http://127.0.0.1:9"}
+    data["http"] = {"base_url": CLOSED_PORT}
     cfg = tmp_path / "http.json"
     cfg.write_text(json.dumps(data), encoding="utf-8")
     code = main(["optimize", str(cfg), "defective", str(tmp_path / "run"), "--backend", "http"])

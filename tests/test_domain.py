@@ -9,6 +9,7 @@ from vistaopt.domain import (
     RunConfig,
     TaskDataset,
     TaskItem,
+    check_config,
     default_taxonomy,
     load_dataset,
     load_taxonomy,
@@ -152,6 +153,30 @@ def test_validate_config_collects_all_violations(dataset_50):
     with pytest.raises(InvalidConfigError) as excinfo:
         validate_config(RunConfig(K=0, p=-1, b=0, mode="nope"), dataset_50)
     assert len(excinfo.value.violations) >= 4
+
+
+def test_check_config_returns_each_sections_arguments():
+    config = {"K": 2, "p": 1, "notes": [1], "absent": None,
+              "dataset": {"train_path": "t", "val_path": "v", "x": 5}}
+    sections = [("", RunConfig), ("dataset", load_dataset), ("absent", RunConfig)]
+    assert check_config(config, sections) == [{"K": 2, "p": 1},
+                                              {"train_path": "t", "val_path": "v"}, {}]
+
+
+@pytest.mark.parametrize("config, where, target, violations", [
+    ({"K": True, "epsilon": 1.5}, "", RunConfig,
+     ["K: True is not an integer", "epsilon: 1.5 is not <= 1"]),
+    ({"p": float("nan")}, "", RunConfig, ["p: nan is not a number"]),
+    ({"mode": "nope"}, "", RunConfig, ["mode: 'nope' is not in ('vista', 'baseline')"]),
+    ({"dataset": {"train_path": 5}}, "dataset", load_dataset,
+     ["dataset.train_path: 5 is not a string", "dataset.val_path is required"]),
+    ({"dataset": [1]}, "dataset.synthetic", load_dataset, ["dataset: [1] is not an object"]),
+    ([1], "", RunConfig, ["config: [1] is not an object"]),
+])
+def test_check_config_lists_every_violation(config, where, target, violations):
+    with pytest.raises(InvalidConfigError) as excinfo:
+        check_config(config, [(where, target)])
+    assert excinfo.value.violations == violations
 
 
 def test_run_config_round_trip():

@@ -23,15 +23,12 @@ QWEN_BASE_SAMPLING = MappingProxyType({
 class GenerationRequest:
     """One generation call.
 
-    ``sampling`` holds optional overrides; ``extras`` is an opaque map:
-    ``extras["wire"]`` is passed through to the HTTP body (e.g. fields with
-    no portable name), other keys are hints for scripted backends (e.g.
-    ``slot_origins`` for the synthetic hypothesis agent).
+    ``extras`` holds hints for scripted backends (e.g. ``slot_origins`` for
+    the synthetic hypothesis agent); the HTTP backend sends none of them.
     """
 
     role: str
     messages: tuple[tuple[str, str], ...]
-    sampling: Mapping[str, float] | None = None
     extras: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):

@@ -4,16 +4,13 @@ Speaks the ubiquitous wire shape (model, messages, sampling fields) with
 bearer-token auth from an environment variable; the base URL covers both
 hosted APIs and local servers.
 
-Transport: picked once, at construction.  A plain ``http://`` URL to which
-``requests`` would add nothing from the environment (no proxy from
-``*_proxy``/``NO_PROXY``, no netrc entry, no credentials in the URL) is
-posted with ``http.client``, sending the body bytes and headers ``requests``
-would, at a quarter of its client CPU, on kept-alive connections: one per
-concurrent caller until ``close()``; one closed while idle is replaced once,
-not as a retry.  ``TCP_QUICKACK`` before each reply spares a server that
-sends headers and body apart with Nagle on (RFC 896) a ~40 ms wait for the
-delayed ACK (RFC 1122 §4.2.3.2); without it a connection serves one reply.
-HTTPS, proxied and netrc URLs go through ``requests.post``.
+Transport: one route, worked out at construction as ``requests`` would send
+the request (headers, netrc or URL credentials, proxy, CA bundle).  Every
+attempt goes by ``http.client`` over kept-alive connections, one per
+concurrent caller until ``close()``, and through a proxy to HTTPS by CONNECT;
+one closed while idle is replaced once, not as a retry.  ``TCP_QUICKACK``
+before each reply spares a server that sends headers and body apart with
+Nagle on (RFC 896) a ~40 ms delayed-ACK wait (RFC 1122 §4.2.3.2).
 """
 
 from __future__ import annotations
@@ -24,10 +21,12 @@ import logging
 import os
 import random
 import socket
+import ssl
 import threading
 import time
 import warnings
 import zlib
+from types import SimpleNamespace
 from typing import Annotated
 from urllib.parse import urlsplit
 
@@ -46,22 +45,6 @@ RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 RETRY_AFTER_STATUS = (429, 503)
 
 
-def _direct_route(url: str) -> tuple[str, int | None, str] | None:
-    """Host, port and request target of ``url`` as ``requests`` would send
-    it, when that is a plain ``http://`` request it would add nothing to from
-    the environment or from credentials in the URL; else None."""
-    try:
-        prepared = requests.Request("POST", url).prepare()
-    except requests.RequestException:
-        return None
-    parts = urlsplit(prepared.url)
-    if (parts.scheme != "http" or parts.username is not None
-            or requests.utils.get_environ_proxies(prepared.url)
-            or requests.utils.get_netrc_auth(prepared.url) is not None):
-        return None
-    return parts.hostname, parts.port, prepared.path_url
-
-
 class HttpBackend:
     """One chat-completion round trip per generate(), with bounded retries
     on transport failure; the evaluator's pool caps concurrency."""
@@ -71,7 +54,7 @@ class HttpBackend:
         base_url: str | None = None,
         model: str = "qwen3-4b",
         role_models: dict[str, str] | None = None,
-        timeout: Annotated[float, Range(exclusiveMinimum=0)] = 120.0,
+        timeout: Annotated[float, Range(exclusiveMinimum=0, maximum=86400)] = 120.0,
         max_retries: Annotated[int, Range(minimum=0)] = 3,
         backoff_base: Annotated[float, Range(minimum=0)] = 0.5,
         max_in_flight: int | None = None,
@@ -94,28 +77,46 @@ class HttpBackend:
         self.requests_sent = 0
         self.retries = 0
         self._lock = threading.Lock()
-        self._url = f"{self.base_url}/chat/completions"
-        self._headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            self._headers["Authorization"] = f"Bearer {self.api_key}"
-        self._route = _direct_route(self._url)
         self._keep_alive = hasattr(socket, "TCP_QUICKACK")
         self._idle: list[http.client.HTTPConnection] = []
-        # requests' defaults, with the encodings ``_post`` decodes (requests
-        # adds br and zstd when their packages are installed).
-        self._direct_headers = {**requests.utils.default_headers(),
-                                "Accept-Encoding": "gzip, deflate", **self._headers}
+        # requests' default headers, with only the encodings ``_post`` decodes.
+        headers = {"Accept-Encoding": "gzip, deflate", "Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        session, adapter = requests.Session(), requests.adapters.HTTPAdapter()
+        try:  # adds Basic auth from netrc or from credentials in the URL
+            prepared = session.prepare_request(
+                requests.Request("POST", f"{self.base_url}/chat/completions", headers=headers))
+        except requests.RequestException as exc:
+            raise InvalidConfigError([f"base_url: {exc}"]) from exc
+        env = session.merge_environment_settings(prepared.url, {}, None, None, None)
+        proxy = requests.utils.select_proxy(prepared.url, env["proxies"])
+        proxy = proxy and requests.utils.prepend_scheme_if_needed(proxy, "http")
+        url, hop = urlsplit(prepared.url), urlsplit(proxy or prepared.url)
+        if url.scheme not in ("http", "https") or proxy and hop.scheme != "http":
+            raise InvalidConfigError([f"base_url: cannot post to a {url.scheme!r} URL"
+                                      + (f" through a {hop.scheme!r} proxy" if proxy else "")])
+        self._target = adapter.request_url(prepared, env["proxies"])
+        del prepared.headers["Content-Length"]  # http.client sets it per body
+        self._headers = dict(prepared.headers)
+        self._hop = hop.hostname, hop.port or (443 if hop.scheme == "https" else 80)
+        self._tls = self._tunnel = None
+        if url.scheme == "https":  # requests' CA bundle, checked as requests checks it
+            ca = SimpleNamespace(ca_certs=None, ca_cert_dir=None)
+            adapter.cert_verify(ca, prepared.url, env["verify"], None)
+            self._tls = ssl.create_default_context(cafile=ca.ca_certs, capath=ca.ca_cert_dir)
+            if proxy:
+                self._tunnel = url.hostname, url.port or 443, adapter.proxy_headers(proxy)
+        elif proxy:  # the target in absolute form, with the proxy's credentials
+            self._headers.update(adapter.proxy_headers(proxy))
 
     @classmethod
     def from_config(cls, section: dict) -> "HttpBackend":
         """Build from a config's ``http`` section, checked against ``__init__``."""
         return cls(**check_config(section, [("", cls.__init__)])[0])
 
-    def _model_for(self, role: str) -> str:
-        return self.role_models.get(role, self.model)
-
     def _body(self, request: GenerationRequest) -> dict:
-        model = self._model_for(request.role)
+        model = self.role_models.get(request.role, self.model)
         body: dict = {
             "model": model,
             "messages": [{"role": speaker, "content": content}
@@ -123,30 +124,21 @@ class HttpBackend:
         }
         if request.role == "base" and "qwen" in model.lower():
             body.update(QWEN_BASE_SAMPLING)
-        if request.sampling:
-            body.update(request.sampling)
-        wire_extras = request.extras.get("wire")
-        if isinstance(wire_extras, dict):
-            body.update(wire_extras)
         return body
 
     def _post(self, body: dict) -> tuple[int, str | None, bytes]:
         """One attempt: status, Retry-After header and decoded body bytes."""
-        if self._route is None:
-            response = requests.post(self._url, json=body, headers=self._headers,
-                                     timeout=self.timeout)
-            return response.status_code, response.headers.get("Retry-After"), response.content
         payload = json.dumps(body, allow_nan=False).encode()
         with self._lock:
             connection = self._idle.pop() if self._idle else None
         try:
             try:
                 response = self._exchange(connection, payload) if connection else None
-            except (ConnectionResetError, BrokenPipeError):  # closed while idle: resend once
-                connection.close()
+            except (ConnectionResetError, BrokenPipeError, ssl.SSLEOFError):
+                connection.close()  # closed while idle: resend once
                 response = None
             if response is None:
-                connection = http.client.HTTPConnection(*self._route[:2], timeout=self.timeout)
+                connection = self._connect()
                 response = self._exchange(connection, payload)
             content = response.read()
         except BaseException:
@@ -162,8 +154,18 @@ class HttpBackend:
             content = zlib.decompress(content, zlib.MAX_WBITS | 32)  # gzip or zlib wrapper
         return response.status, response.getheader("Retry-After"), content
 
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new connection to the proxy, if any, tunnelled to an https target."""
+        if self._tls is None:
+            return http.client.HTTPConnection(*self._hop, timeout=self.timeout)
+        connection = http.client.HTTPSConnection(*self._hop, timeout=self.timeout,
+                                                 context=self._tls)
+        if self._tunnel:
+            connection.set_tunnel(*self._tunnel)
+        return connection
+
     def _exchange(self, connection, payload: bytes) -> http.client.HTTPResponse:
-        connection.request("POST", self._route[2], payload, self._direct_headers)
+        connection.request("POST", self._target, payload, self._headers)
         if self._keep_alive:  # the kernel clears it again, so set it per reply
             connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
         return connection.getresponse()
@@ -176,15 +178,16 @@ class HttpBackend:
 
     def _retry_delay(self, retry: int, retry_after: str | None) -> float:
         """Seconds before retry number ``retry``: a Retry-After given in
-        seconds, capped at the timeout (RFC 9110 §10.2.3), else full-jitter
-        exponential backoff.  Timing only, so not drawn from a run stream."""
+        seconds, else full-jitter exponential backoff, either capped at the
+        timeout (RFC 9110 §10.2.3).  Timing only, so not drawn from a run stream."""
         try:
             seconds = float(retry_after)
         except (TypeError, ValueError):  # absent, or an HTTP-date
             seconds = -1.0
         if seconds >= 0:  # false for NaN
             return min(seconds, self.timeout)
-        return random.uniform(0, self.backoff_base * 2 ** (retry - 1))
+        # 2.0 ** 1024 overflows a float; a base above 1e-303 meets the cap sooner.
+        return random.uniform(0, min(self.backoff_base * 2.0 ** min(retry - 1, 1023), self.timeout))
 
     def generate(self, request: GenerationRequest) -> str:
         body = self._body(request)
@@ -200,10 +203,7 @@ class HttpBackend:
                 with self._lock:
                     self.requests_sent += 1
                 status, header, content = self._post(body)
-            # requests wraps a bad header value or a non-JSON body (ValueError)
-            # and an undecodable body (zlib.error) as RequestException.
-            except (requests.RequestException, OSError, http.client.HTTPException,
-                    ValueError, zlib.error) as exc:
+            except (OSError, http.client.HTTPException, ValueError, zlib.error) as exc:
                 last_error = exc
                 logger.warning("transport error (attempt %d): %s", attempt + 1, exc)
                 continue

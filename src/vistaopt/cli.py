@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -68,6 +69,10 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
             file_config, [("", RunConfig), ("", load_taxonomy_path), ("templates", _template_paths),
                           ("synthetic_world", SyntheticWorldConfig),
                           ("http", HttpBackend.__init__), (where, build)])
+        # Paths in the config file are relative to its directory.
+        here = os.path.dirname(os.path.abspath(config_path))
+        for args in (taxonomy_args, template_args, dataset_args if files else {}):
+            args.update({key: os.path.join(here, path) for key, path in args.items() if path})
         config = RunConfig(**run_args)
         dataset = build(**dataset_args)
         validate_config(config, dataset)
@@ -81,8 +86,7 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
             backend = HttpBackend(**http_args)
         else:
             raise InvalidConfigError([f"unknown backend {backend_kind!r}"])
-        resolved = dict(file_config)
-        resolved.update(config.to_dict())
+        resolved = {**file_config, **taxonomy_args, **config.to_dict()}
         resolved["backend"] = backend_kind
         if backend_kind == "synthetic":
             resolved["synthetic_world"] = world.to_dict()

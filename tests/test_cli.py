@@ -99,6 +99,10 @@ def test_optimize_invalid_config(tmp_path, config_file):
      ["--backend", "http"]),
     ({"http": {"base_url": CLOSED_PORT, "timeout": float("inf"), "max_retries": 0}},
      ["--backend", "http"]),
+    ({"http": {"base_url": CLOSED_PORT, "timeout": 1e300, "max_retries": 0}},
+     ["--backend", "http"]),
+    ({"http": {"base_url": "ftp://x"}}, ["--backend", "http"]),
+    ({"http": {"base_url": "http://"}}, ["--backend", "http"]),
     ({"http": {"timeout": "x"}}, []),
 ], ids=["p-string", "epsilon-null", "max_parallel-bool", "dataset-no-val_path", "templates-string",
         "template-path-int", "taxonomy_path-int", "feature_weights-string", "base_accuracy-2",
@@ -106,7 +110,7 @@ def test_optimize_invalid_config(tmp_path, config_file):
         "true_root_cause-int", "base_accuracy-bool", "feature_weight-bool", "timeout-string",
         "base_url-int", "model-int", "max_retries-string", "role_models-string",
         "max_retries-negative", "timeout-0", "timeout-nan", "timeout-infinity",
-        "http-under-synthetic-backend"])
+        "timeout-1e300", "base_url-ftp", "base_url-no-host", "http-under-synthetic-backend"])
 def test_optimize_malformed_config_value_exits_invalid_config(override, flags, tmp_path,
                                                               config_file, capsys):
     data = {**json.loads(config_file.read_text()), **override}
@@ -253,6 +257,39 @@ def test_report_lists_the_runs_own_taxonomy(tmp_path, config_file, monkeypatch):
     carried = {edge["label"] for edge in json.loads(Path("run/trace.json").read_text())["edges"]}
     assert set(labels[2:]) == carried - set(ids)
     assert not set(default_taxonomy().ids) & set(labels) - carried
+
+
+def test_relative_config_paths_resolve_against_the_config_file(tmp_path, dataset_files,
+                                                               monkeypatch):
+    configs, elsewhere = tmp_path / "configs", tmp_path / "elsewhere"
+    configs.mkdir()
+    elsewhere.mkdir()
+    (configs / "tax.yaml").write_text("- id: alpha_mode\n  name: a\n  description: a\n",
+                                      encoding="utf-8")
+    (configs / "hypothesis.txt").write_text(
+        "CURRENT SYSTEM PROMPT:\n{curr_instructions}\n\nERROR TAXONOMY:\n{error_taxonomy}\n\n"
+        "FAILED SAMPLES:\n{failed_samples}\n\nOutput {num_hypotheses} blocks.\n",
+        encoding="utf-8")
+    data = {"budget": 30, "max_parallel": 1, "taxonomy_path": "tax.yaml",
+            "templates": {"hypothesis": "hypothesis.txt"},
+            "dataset": {"train_path": "../train.jsonl", "val_path": "../val.jsonl"}}
+    (configs / "run.json").write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(elsewhere)
+    assert main(["optimize", "../configs/run.json", "defective", "../run"]) == EXIT_OK
+    recorded = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
+    taxonomy = Path(recorded["taxonomy_path"])
+    assert taxonomy.is_absolute() and taxonomy.samefile(configs / "tax.yaml")
+    monkeypatch.chdir(tmp_path / "run")
+    assert main(["report", "."]) == EXIT_OK
+    # Absolute paths are recorded as written.
+    absolute = {**data, "taxonomy_path": str(configs / "tax.yaml"),
+                "templates": {"hypothesis": str(configs / "hypothesis.txt")},
+                "dataset": {"train_path": str(dataset_files[0]),
+                            "val_path": str(dataset_files[1])}}
+    (configs / "absolute.json").write_text(json.dumps(absolute), encoding="utf-8")
+    assert main(["optimize", str(configs / "absolute.json"), "defective", "../abs"]) == EXIT_OK
+    recorded = json.loads((tmp_path / "abs" / "config.json").read_text(encoding="utf-8"))
+    assert {key: recorded[key] for key in absolute} == absolute
 
 
 def test_report_unreadable_taxonomy_exits_io_failure(tmp_path, config_file, capsys):

@@ -2,12 +2,15 @@ import gzip
 import http.client
 import json
 import socket
+import socketserver
+import ssl
 import sys
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -15,10 +18,15 @@ import requests
 from vistaopt.backends.base import GenerationRequest, RoleRouter
 from vistaopt.backends.http import HttpBackend
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
+from vistaopt.cli import EXIT_IO_FAILURE, EXIT_OK, EXIT_TRANSPORT_FAILURE, main
 from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt
-from vistaopt.errors import TransportFailureError
+from vistaopt.errors import InvalidConfigError, TransportFailureError
 from vistaopt.evaluation import Evaluator
 from vistaopt.optimizer import run
+
+# A self-signed certificate for IP 127.0.0.1, valid 2025-2125; for tests only.
+TLS_CERT = Path(__file__).parent / "data" / "tls" / "cert.pem"
+TLS_KEY = Path(__file__).parent / "data" / "tls" / "key.pem"
 
 
 def completion(content):
@@ -37,10 +45,11 @@ class StubServer:
     With ``hang_up`` as well, the server closes each connection after its
     reply without saying so, as a server closes an idle connection.  Like
     perfbench's stub, a reply is written in two sends, headers then body,
-    with Nagle's algorithm on.
+    with Nagle's algorithm on.  With ``tls`` it serves HTTPS with the test
+    certificate.
     """
 
-    def __init__(self, script, delay=0.0, keep_alive=False, hang_up=False):
+    def __init__(self, script, delay=0.0, keep_alive=False, hang_up=False, tls=False):
         self.script = list(script)
         self.delay = delay
         self.requests = []
@@ -90,6 +99,11 @@ class StubServer:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.scheme = "https" if tls else "http"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            self.server.socket = context.wrap_socket(self.server.socket, server_side=True)
         # A short poll interval, so that shutdown() returns within 10 ms.
         self.thread = threading.Thread(target=self.server.serve_forever,
                                        kwargs={"poll_interval": 0.01}, daemon=True)
@@ -105,7 +119,74 @@ class StubServer:
     @property
     def base_url(self):
         host, port = self.server.server_address
-        return f"http://{host}:{port}/v1"
+        return f"{self.scheme}://{host}:{port}/v1"
+
+
+class ConnectRelay:
+    """An HTTP proxy that serves only CONNECT: it records each request head
+    in ``heads``, then relays bytes both ways until either side closes."""
+
+    def __init__(self):
+        self.heads = []
+        relay = self
+
+        def pipe(source, sink):
+            try:
+                while data := source.recv(65536):
+                    sink.sendall(data)
+                sink.shutdown(socket.SHUT_WR)
+            except OSError:  # the other direction closed first
+                pass
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):  # the client waits for the reply
+                    chunk = self.request.recv(4096)
+                    if not chunk:
+                        return
+                    head += chunk
+                relay.heads.append(head.decode("latin-1"))
+                host, port = head.split()[1].decode().rsplit(":", 1)
+                with socket.create_connection((host, int(port)), timeout=10) as upstream:
+                    self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                    back = threading.Thread(target=pipe, args=(upstream, self.request))
+                    back.start()
+                    pipe(self.request, upstream)
+                    back.join(timeout=10)
+
+        self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()
+
+    @property
+    def url(self):
+        host, port = self.server.server_address
+        return f"http://{host}:{port}"
+
+
+@pytest.fixture()
+def trusted(monkeypatch):
+    """Trust the test certificate, named by ``REQUESTS_CA_BUNDLE``."""
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS_CERT))
+    monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+
+
+@pytest.fixture()
+def no_proxy_env(monkeypatch):
+    """Clear the proxy variables, so that only those a test sets apply."""
+    for name in ("NO_PROXY", "no_proxy", "HTTP_PROXY", "http_proxy", "HTTPS_PROXY",
+                 "https_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
 
 
 def agent_request(text="hello"):
@@ -156,20 +237,31 @@ def test_non_string_content_is_a_transport_failure(content):
         assert backend.requests_sent == 1
 
 
-def test_direct_transport_sends_what_requests_sends(monkeypatch):
+@pytest.mark.parametrize("credentials", ["plain", "url", "netrc"])
+def test_direct_transport_sends_what_requests_sends(credentials, tmp_path, monkeypatch):
+    # Credentials in the URL or a netrc entry replace the bearer token with
+    # Basic auth, as requests sends them.
+    netrc = tmp_path / "netrc"
+    monkeypatch.setenv("NETRC", str(netrc))
+    if credentials == "netrc":
+        netrc.write_text("machine 127.0.0.1 login user password pass\n", encoding="utf-8")
     request = agent_request("héllo")
     with StubServer([(200, completion("x"))]) as stub:
-        backend = HttpBackend(base_url=stub.base_url, api_key="k", backoff_base=0.0)
+        base_url = stub.base_url
+        if credentials == "url":
+            base_url = base_url.replace("://", "://user:pass@")
+        backend = HttpBackend(base_url=base_url, api_key="k", backoff_base=0.0)
         with monkeypatch.context() as patched:
-            patched.setattr(requests, "post", None)  # a plain http:// URL never reaches it
+            patched.setattr(requests, "post", None)  # the backend never calls it
             assert backend.generate(request) == "x"
-        requests.post(f"{stub.base_url}/chat/completions", json=stub.requests[0]["body"],
+        requests.post(f"{base_url}/chat/completions", json=stub.requests[0]["body"],
                       headers={"Content-Type": "application/json", "Authorization": "Bearer k"},
                       timeout=10)
     direct, reference = stub.requests
     assert direct["raw"] == reference["raw"]
     assert direct["headers"] == reference["headers"]
     assert direct["path"] == reference["path"] == "/v1/chat/completions"
+    assert direct["auth"] == ("Bearer k" if credentials == "plain" else "Basic dXNlcjpwYXNz")
 
 
 def test_direct_transport_decodes_gzip():
@@ -208,11 +300,10 @@ def opened(monkeypatch):
     return connections
 
 
-@requires_quickack
-def test_pooled_generations_open_one_connection_per_worker():
+def check_pooled_generations_reuse_connections(**stub_options):
     items = make_synthetic_dataset(40, 2).train
     with StubServer([(200, completion('{"final_answer": "1"}'))], delay=0.002,
-                    keep_alive=True) as stub:
+                    keep_alive=True, **stub_options) as stub:
         backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
         records = Evaluator(backend, max_parallel=2).evaluate_items("system prompt", items,
                                                                     charged=True)
@@ -220,6 +311,16 @@ def test_pooled_generations_open_one_connection_per_worker():
     assert len(records) == len(stub.requests) == 40
     assert 1 <= stub.connections <= 2
     assert backend.requests_sent == 40 and backend.retries == 0
+
+
+@requires_quickack
+def test_pooled_generations_open_one_connection_per_worker():
+    check_pooled_generations_reuse_connections()
+
+
+@requires_quickack
+def test_pooled_https_generations_open_one_connection_per_worker(trusted):
+    check_pooled_generations_reuse_connections(tls=True)
 
 
 def test_http_10_server_gets_one_connection_per_request(opened):
@@ -230,14 +331,24 @@ def test_http_10_server_gets_one_connection_per_request(opened):
     assert all(connection.sock is None for connection in opened)
 
 
-@requires_quickack
-def test_connection_closed_while_idle_is_replaced_without_a_retry():
-    with StubServer([(200, completion("x"))], keep_alive=True, hang_up=True) as stub:
+def check_closed_idle_connection_is_replaced(**stub_options):
+    with StubServer([(200, completion("x"))], keep_alive=True, hang_up=True,
+                    **stub_options) as stub:
         backend = HttpBackend(base_url=stub.base_url, max_retries=0, backoff_base=0.0)
         assert [backend.generate(agent_request()) for _ in range(3)] == ["x"] * 3
         backend.close()
     assert stub.connections == len(stub.requests) == 3
     assert backend.requests_sent == 3 and backend.retries == 0
+
+
+@requires_quickack
+def test_connection_closed_while_idle_is_replaced_without_a_retry():
+    check_closed_idle_connection_is_replaced()
+
+
+@requires_quickack
+def test_tls_connection_closed_while_idle_is_replaced_without_a_retry(trusted):
+    check_closed_idle_connection_is_replaced(tls=True)
 
 
 @requires_quickack
@@ -288,15 +399,76 @@ def test_close_closes_idle_connections_and_the_backend_stays_usable(opened):
     assert all(connection.sock is None for connection in opened)
 
 
-def test_proxy_from_the_environment_is_honoured(monkeypatch):
-    for name in ("NO_PROXY", "no_proxy", "http_proxy", "ALL_PROXY", "all_proxy"):
-        monkeypatch.delenv(name, raising=False)
+def test_proxy_from_the_environment_is_honoured(no_proxy_env, monkeypatch):
     with StubServer([(200, completion("via proxy"))]) as stub:
         host, port = stub.server.server_address
         monkeypatch.setenv("HTTP_PROXY", f"http://{host}:{port}")
         backend = HttpBackend(base_url="http://model.invalid/v1", backoff_base=0.0)
         assert backend.generate(agent_request()) == "via proxy"
     assert stub.requests[0]["path"] == "http://model.invalid/v1/chat/completions"
+
+
+def test_https_through_a_proxy_is_tunnelled_with_connect(trusted, no_proxy_env, monkeypatch):
+    with StubServer([(200, completion("tunnelled"))], keep_alive=True, tls=True) as stub, \
+            ConnectRelay() as relay:
+        monkeypatch.setenv("HTTPS_PROXY", relay.url.replace("://", "://pu:pp@"))
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        assert [backend.generate(agent_request()) for _ in range(2)] == ["tunnelled"] * 2
+        backend.close()
+    host, port = stub.server.server_address
+    assert relay.heads and len(relay.heads) == stub.connections
+    for head in relay.heads:
+        assert head.startswith(f"CONNECT {host}:{port} HTTP/1.")
+        assert "Proxy-Authorization: Basic cHU6cHA=\r\n" in head  # for the proxy only
+    for served in stub.requests:
+        assert served["path"] == "/v1/chat/completions"
+        assert "Proxy-Authorization" not in served["headers"]
+
+
+@pytest.mark.parametrize("bundle, named, exit_code", [
+    (None, None, EXIT_TRANSPORT_FAILURE),  # certifi's bundle, which lacks the test certificate
+    ("REQUESTS_CA_BUNDLE", TLS_CERT, EXIT_OK),
+    ("CURL_CA_BUNDLE", TLS_CERT, EXIT_OK),
+    ("REQUESTS_CA_BUNDLE", TLS_CERT.with_name("absent.pem"), EXIT_IO_FAILURE),
+], ids=["certifi", "requests-ca-bundle", "curl-ca-bundle", "absent-bundle"])
+def test_https_certificate_is_verified_against_requests_ca_bundle(bundle, named, exit_code,
+                                                                   tmp_path, monkeypatch):
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    if bundle:
+        monkeypatch.setenv(bundle, str(named))
+    config = tmp_path / "config.json"
+    with StubServer([(200, completion('{"final_answer": "1"}'))], tls=True) as stub:
+        if bundle is None:
+            backend = HttpBackend(base_url=stub.base_url, max_retries=0)
+            with pytest.raises(TransportFailureError, match="CERTIFICATE_VERIFY_FAILED"):
+                backend.generate(agent_request())
+        config.write_text(json.dumps({
+            "budget": 0, "max_parallel": 1,  # the seed's validation pass only
+            "dataset": {"synthetic": {"train_size": 8, "val_size": 4}},
+            "http": {"base_url": stub.base_url, "max_retries": 0, "timeout": 10}}))
+        code = main(["optimize", str(config), "defective", str(tmp_path / "run"),
+                     "--backend", "http"])
+    assert code == exit_code
+    assert len(stub.requests) == (4 if exit_code == EXIT_OK else 0)
+
+
+@pytest.mark.parametrize("base_url, https_proxy", [
+    ("ftp://x", None),
+    ("http://", None),
+    ("https://model.invalid/v1", "socks5://127.0.0.1:1080"),
+], ids=["ftp", "no-host", "socks-proxy"])
+def test_route_that_cannot_be_posted_on_is_invalid_config(base_url, https_proxy, no_proxy_env,
+                                                         monkeypatch):
+    if https_proxy:
+        monkeypatch.setenv("HTTPS_PROXY", https_proxy)
+    with pytest.raises(InvalidConfigError, match="base_url"):
+        HttpBackend(base_url=base_url)
+
+
+def test_backoff_is_capped_at_the_timeout_for_any_retry():
+    backend = HttpBackend(base_url="http://127.0.0.1:9/v1", backoff_base=1e300, timeout=0.5)
+    assert all(0 <= backend._retry_delay(retry, None) <= 0.5 for retry in (2, 1024, 1025, 2000))
 
 
 @pytest.mark.parametrize("status, retry_after, timeout, least", [
@@ -335,23 +507,10 @@ def test_qwen_base_sampling_defaults():
         body = stub.requests[0]["body"]
         assert body["temperature"] == 0.6 and body["top_p"] == 0.95
         assert body["top_k"] == 20 and body["presence_penalty"] == 1.5
-        backend.generate(agent_request())
-        assert "temperature" not in stub.requests[1]["body"]
-
-
-def test_sampling_overrides_and_wire_extras():
-    with StubServer([(200, completion("x"))]) as stub:
-        backend = HttpBackend(base_url=stub.base_url, model="qwen3", backoff_base=0.0)
-        backend.generate(GenerationRequest(
-            role="base",
-            messages=(("user", "u"),),
-            sampling={"temperature": 0.1},
-            extras={"wire": {"reasoning_effort": "none"}, "slot_origins": ("free",)},
-        ))
-        body = stub.requests[0]["body"]
-        assert body["temperature"] == 0.1
-        assert body["reasoning_effort"] == "none"
-        assert "slot_origins" not in body
+        # Other roles get no sampling fields, and the scripted agents' hints are not sent.
+        backend.generate(GenerationRequest(role="hypothesis_agent", messages=(("user", "u"),),
+                                           extras={"slot_origins": ("free",)}))
+        assert set(stub.requests[1]["body"]) == {"model", "messages"}
 
 
 def test_role_models_routing():

@@ -126,8 +126,8 @@ class HttpBackend:
             body.update(QWEN_BASE_SAMPLING)
         return body
 
-    def _post(self, body: dict) -> tuple[int, str | None, bytes]:
-        """One attempt: status, Retry-After header and decoded body bytes."""
+    def _post(self, body: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One attempt: status, headers and decoded body bytes."""
         payload = json.dumps(body, allow_nan=False).encode()
         with self._lock:
             connection = self._idle.pop() if self._idle else None
@@ -152,7 +152,7 @@ class HttpBackend:
             connection.close()
         if response.getheader("Content-Encoding", "").lower() in ("gzip", "deflate"):
             content = zlib.decompress(content, zlib.MAX_WBITS | 32)  # gzip or zlib wrapper
-        return response.status, response.getheader("Retry-After"), content
+        return response.status, response.headers, content
 
     def _connect(self) -> http.client.HTTPConnection:
         """A new connection to the proxy, if any, tunnelled to an https target."""
@@ -202,7 +202,7 @@ class HttpBackend:
             try:
                 with self._lock:
                     self.requests_sent += 1
-                status, header, content = self._post(body)
+                status, headers, content = self._post(body)
             except (OSError, http.client.HTTPException, ValueError, zlib.error) as exc:
                 last_error = exc
                 logger.warning("transport error (attempt %d): %s", attempt + 1, exc)
@@ -211,12 +211,14 @@ class HttpBackend:
                 last_error = TransportFailureError(f"server returned {status}")
                 logger.warning("retryable status %d (attempt %d)", status, attempt + 1)
                 if status in RETRY_AFTER_STATUS:
-                    retry_after = header
+                    retry_after = headers.get("Retry-After")
                 continue
-            if status >= 400:
+            if status // 100 != 2:  # a redirect too: neither retried nor followed
+                location = headers.get("Location")
                 raise TransportFailureError(
-                    f"request failed with status {status}: "
-                    f"{content.decode('utf-8', 'replace')[:200]}")
+                    f"request failed with status {status}"
+                    + (f" (Location: {location})" if location else "")
+                    + f": {content.decode('utf-8', 'replace')[:200]}")
             try:
                 text = json.loads(content)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:

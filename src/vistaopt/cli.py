@@ -29,7 +29,6 @@ from .errors import (
     InvalidConfigError,
     IoFailureError,
     MissingArtifactsError,
-    MissingTraceError,
     TransportFailureError,
     VistaError,
 )
@@ -44,6 +43,17 @@ EXIT_IO_FAILURE = 3
 EXIT_TRANSPORT_FAILURE = 4
 EXIT_MISSING_ARTIFACTS = 5
 
+# The one map from an error to its exit code and stderr prefix: the first row
+# whose classes the error is an instance of wins, so a row lists no subclass
+# of a class in an earlier row.
+ERROR_EXITS = (
+    ((InvalidConfigError,), EXIT_INVALID_CONFIG, "invalid configuration"),
+    ((MissingArtifactsError,), EXIT_MISSING_ARTIFACTS, "missing artifacts"),
+    ((TransportFailureError,), EXIT_TRANSPORT_FAILURE, "transport failure"),
+    ((IoFailureError, OSError), EXIT_IO_FAILURE, "io failure"),
+    ((ValueError, VistaError), EXIT_ERROR, "error"),
+)
+
 
 def _template_paths(hypothesis: str | None = None, reflection: str | None = None) -> dict:
     """The ``templates`` section: override files for the shipped agent templates."""
@@ -52,69 +62,44 @@ def _template_paths(hypothesis: str | None = None, reflection: str | None = None
 
 def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
                  backend_kind: str = "synthetic", mode: str | None = None,
-                 seed: int | None = None) -> int:
-    backend = None
+                 seed: int | None = None) -> None:
+    file_config = load_config_file(config_path)
+    if mode is not None:
+        file_config["mode"] = mode
+    if seed is not None:
+        file_config["rng_seed"] = seed
+    # A dataset object with keys but no "synthetic" names line-delimited files.
+    section = file_config.get("dataset")
+    files = isinstance(section, dict) and section and "synthetic" not in section
+    where, build = (("dataset", load_dataset) if files
+                    else ("dataset.synthetic", make_synthetic_dataset))
+    run_args, taxonomy_args, template_args, world_args, http_args, dataset_args = check_config(
+        file_config, [("", RunConfig), ("", load_taxonomy_path), ("templates", _template_paths),
+                      ("synthetic_world", SyntheticWorldConfig),
+                      ("http", HttpBackend.__init__), (where, build)])
+    # Paths in the config file are relative to its directory.
+    here = os.path.dirname(os.path.abspath(config_path))
+    for args in (taxonomy_args, template_args, dataset_args if files else {}):
+        args.update({key: os.path.join(here, path) for key, path in args.items() if path})
+    config = RunConfig(**run_args)
+    dataset = build(**dataset_args)
+    validate_config(config, dataset)
+    taxonomy = load_taxonomy_path(**taxonomy_args)
+    template_paths = _template_paths(**template_args)
+    seed_prompt = load_seed_prompt(seed_prompt_path)
+    world = SyntheticWorldConfig(**world_args)
+    resolved = {**file_config, **taxonomy_args, **config.to_dict(), "backend": backend_kind}
+    if backend_kind == "synthetic":
+        backend = SyntheticBackend(world, dataset, taxonomy, config.rng_seed)
+        resolved["synthetic_world"] = world.to_dict()
+    elif backend_kind == "http":
+        backend = HttpBackend(**http_args)
+    else:
+        raise InvalidConfigError([f"unknown backend {backend_kind!r}"])
     try:
-        file_config = load_config_file(config_path)
-        if mode is not None:
-            file_config["mode"] = mode
-        if seed is not None:
-            file_config["rng_seed"] = seed
-        # A dataset object with keys but no "synthetic" names line-delimited files.
-        section = file_config.get("dataset")
-        files = isinstance(section, dict) and section and "synthetic" not in section
-        where, build = (("dataset", load_dataset) if files
-                        else ("dataset.synthetic", make_synthetic_dataset))
-        run_args, taxonomy_args, template_args, world_args, http_args, dataset_args = check_config(
-            file_config, [("", RunConfig), ("", load_taxonomy_path), ("templates", _template_paths),
-                          ("synthetic_world", SyntheticWorldConfig),
-                          ("http", HttpBackend.__init__), (where, build)])
-        # Paths in the config file are relative to its directory.
-        here = os.path.dirname(os.path.abspath(config_path))
-        for args in (taxonomy_args, template_args, dataset_args if files else {}):
-            args.update({key: os.path.join(here, path) for key, path in args.items() if path})
-        config = RunConfig(**run_args)
-        dataset = build(**dataset_args)
-        validate_config(config, dataset)
-        taxonomy = load_taxonomy_path(**taxonomy_args)
-        template_paths = _template_paths(**template_args)
-        seed_prompt = load_seed_prompt(seed_prompt_path)
-        world = SyntheticWorldConfig(**world_args)
-        if backend_kind == "synthetic":
-            backend = SyntheticBackend(world, dataset, taxonomy, config.rng_seed)
-        elif backend_kind == "http":
-            backend = HttpBackend(**http_args)
-        else:
-            raise InvalidConfigError([f"unknown backend {backend_kind!r}"])
-        resolved = {**file_config, **taxonomy_args, **config.to_dict()}
-        resolved["backend"] = backend_kind
-        if backend_kind == "synthetic":
-            resolved["synthetic_world"] = world.to_dict()
-        result = run(
-            config=config,
-            dataset=dataset,
-            taxonomy=taxonomy,
-            backend=backend,
-            seed_prompt=seed_prompt,
-            out_dir=out_dir,
-            resolved_config=resolved,
-            template_paths=template_paths,
-        )
-    except InvalidConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    except IoFailureError as exc:
-        print(f"io failure: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
-    except TransportFailureError as exc:
-        print(f"transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT_FAILURE
-    except OSError as exc:
-        print(f"io failure: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
-    except (ValueError, VistaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        result = run(config=config, dataset=dataset, taxonomy=taxonomy, backend=backend,
+                     seed_prompt=seed_prompt, out_dir=out_dir, resolved_config=resolved,
+                     template_paths=template_paths)
     finally:
         if isinstance(backend, HttpBackend):
             backend.close()
@@ -129,46 +114,19 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
         print(f"warning: {branches['skipped']} round(s) skipped "
               "(see the logs in rounds.jsonl)", file=sys.stderr)
     print(f"artifacts in {out_dir}")
-    return EXIT_OK
 
 
-def cmd_export_trace(run_dir: str, fmt: str = "dot") -> int:
+def cmd_export_trace(run_dir: str, fmt: str = "dot") -> None:
     out_path = Path(run_dir) / f"trace.{fmt}"
-    try:
-        write_atomic(out_path, export_tree(load_trace(run_dir), fmt))
-    except MissingTraceError as exc:
-        print(f"missing trace: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ARTIFACTS
-    except (ValueError, VistaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"io failure: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
+    write_atomic(out_path, export_tree(load_trace(run_dir), fmt))
     print(f"wrote {out_path}")
-    return EXIT_OK
 
 
-def cmd_report(run_dir: str) -> int:
-    try:
-        run_config = json.loads(read_artifact(Path(run_dir), "config.json"))
-        (taxonomy_args,) = check_config(run_config, [("", load_taxonomy_path)])
-        bundle = build_report(run_dir, load_taxonomy_path(**taxonomy_args))
-        write_report(run_dir, bundle)
-    except (MissingTraceError, MissingArtifactsError) as exc:
-        print(f"missing artifacts: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ARTIFACTS
-    except IoFailureError as exc:
-        print(f"io failure: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
-    except (ValueError, VistaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"io failure: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
+def cmd_report(run_dir: str) -> None:
+    run_config = read_artifact(run_dir, "config.json", json.loads)
+    (taxonomy_args,) = check_config(run_config, [("", load_taxonomy_path)])
+    write_report(run_dir, build_report(run_dir, load_taxonomy_path(**taxonomy_args)))
     print(f"wrote report.csv, attribution.csv, oscillations.json in {run_dir}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,13 +159,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "optimize":
-        return cmd_optimize(args.config, args.seed_prompt, args.out_dir,
-                            backend_kind=args.backend, mode=args.mode,
-                            seed=args.seed)
-    if args.command == "export-trace":
-        return cmd_export_trace(args.run_dir, fmt=args.format)
-    return cmd_report(args.run_dir)
+    try:
+        if args.command == "optimize":
+            cmd_optimize(args.config, args.seed_prompt, args.out_dir,
+                         backend_kind=args.backend, mode=args.mode, seed=args.seed)
+        elif args.command == "export-trace":
+            cmd_export_trace(args.run_dir, fmt=args.format)
+        else:
+            cmd_report(args.run_dir)
+    except (VistaError, OSError, ValueError) as exc:
+        code, prefix = next((code, prefix) for classes, code, prefix in ERROR_EXITS
+                            if isinstance(exc, classes))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -111,9 +111,5 @@ class NotFittedError(VistaError):
 
 # ------------------------------------------------------------------- cli
 
-class MissingTraceError(VistaError):
-    pass
-
-
 class MissingArtifactsError(VistaError):
     pass

@@ -9,11 +9,14 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .artifacts import json_text, write_atomic
 from .domain import Taxonomy
-from .errors import MissingArtifactsError, MissingTraceError
+from .errors import MissingArtifactsError
 from .trace import ACCEPTED, SemanticTraceTree, detect_oscillation, import_tree
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -35,43 +38,48 @@ class ReportBundle:
             raise AssertionError("best accuracy must be non-decreasing")
 
 
-def read_artifact(run_dir: Path, name: str) -> str:
-    path = run_dir / name
+def read_artifact(run_dir: str | Path, name: str, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the text of the run file ``name``.  A missing
+    file, or one that ``parse`` rejects, is a missing artifact; callers do
+    all their key access inside ``parse``."""
+    path = Path(run_dir) / name
     if not path.is_file():
         raise MissingArtifactsError(f"{name} not found in {run_dir}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MissingArtifactsError(
+            f"{name} in {run_dir} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def load_trace(run_dir: str | Path) -> SemanticTraceTree:
-    path = Path(run_dir) / "trace.json"
-    if not path.is_file():
-        raise MissingTraceError(f"trace.json not found in {run_dir}")
-    return import_tree(path.read_text(encoding="utf-8"))
+    return read_artifact(run_dir, "trace.json", import_tree)
 
 
 def build_best_curve(run_dir: Path) -> list[tuple[int, float]]:
-    ledger = json.loads(read_artifact(run_dir, "ledger.json"))
+    charges = read_artifact(run_dir, "ledger.json", lambda text: {
+        c["iteration"]: c["amount"] for c in json.loads(text)["charges"]})
     trace = load_trace(run_dir)
     # The journal's lines are in iteration order.
-    journal = read_artifact(run_dir, "rounds.jsonl")
-    outcomes = [json.loads(line) for line in journal.splitlines()]
+    outcomes = read_artifact(run_dir, "rounds.jsonl", lambda text: [
+        (o["iteration"], o["best_updated"], o["winner"])
+        for o in map(json.loads, text.splitlines())])
 
     seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
     best = seed_accuracy
     curve = [(0, seed_accuracy)]
-    charges = {c["iteration"]: c["amount"] for c in ledger["charges"]}
     calls = 0
     best_by_id = {
         nid: node.val_accuracy for nid, node in trace.nodes.items()
         if node.val_accuracy is not None
     }
-    for outcome in outcomes:
-        amount = charges.get(outcome["iteration"], 0)
+    for iteration, best_updated, winner in outcomes:
+        amount = charges.get(iteration, 0)
         if amount == 0:
             continue
         calls += amount
-        if outcome["best_updated"] and outcome["winner"] is not None:
-            best = max(best, best_by_id.get(outcome["winner"], best))
+        if best_updated and winner is not None:
+            best = max(best, best_by_id.get(winner, best))
         curve.append((calls, best))
     return curve
 
@@ -89,7 +97,6 @@ def build_attribution_histogram(tree: SemanticTraceTree,
 
 def find_oscillations(tree: SemanticTraceTree, window: int = 4) -> list[dict]:
     events = []
-    seen = set()
     for node_id in tree.nodes:
         trajectory = tree.trajectory(node_id)
         if not trajectory or trajectory[-1].status != ACCEPTED:
@@ -97,10 +104,6 @@ def find_oscillations(tree: SemanticTraceTree, window: int = 4) -> list[dict]:
         pair = detect_oscillation(trajectory, window)
         if pair is None:
             continue
-        key = (node_id, pair)
-        if key in seen:
-            continue
-        seen.add(key)
         events.append({
             "node": node_id,
             "iteration": trajectory[-1].iteration,

@@ -147,8 +147,10 @@ class SemanticTraceTree:
             )
             for e in data["edges"]
         ]
-        return cls(root=data["root"], nodes={n["id"]: TraceNode(**n) for n in data["nodes"]},
-                   edges=edges)
+        nodes = {n["id"]: TraceNode(**n) for n in data["nodes"]}
+        if data["root"] not in nodes:
+            raise ValueError(f"root {data['root']!r} is not among the nodes")
+        return cls(root=data["root"], nodes=nodes, edges=edges)
 
     def to_dot(self) -> str:
         lines = ["digraph trace {", "  rankdir=TB;", "  node [shape=circle];"]

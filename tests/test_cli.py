@@ -7,7 +7,7 @@ import pytest
 from vistaopt.backends.http import HttpBackend
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.cli import (
-    EXIT_ERROR,
+    ERROR_EXITS,
     EXIT_INVALID_CONFIG,
     EXIT_IO_FAILURE,
     EXIT_MISSING_ARTIFACTS,
@@ -191,10 +191,64 @@ def test_report_config_not_an_object_exits_error(config_file, tmp_path, capsys):
     assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
     (out / "config.json").write_text("[1]", encoding="utf-8")
     capsys.readouterr()
-    assert main(["report", str(out)]) == EXIT_ERROR
+    assert main(["report", str(out)]) == EXIT_INVALID_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("invalid configuration:") and "Traceback" not in err
     assert not (out / "report.csv").exists()
+
+
+def test_report_config_failing_the_check_exits_invalid_config(config_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    (out / "config.json").write_text('{"taxonomy_path": 5}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_INVALID_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: taxonomy_path") and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
+def cut_last_line(text):
+    """The text with its last line cut halfway, as a killed writer leaves it."""
+    return text[:len(text) - 1 - len(text.splitlines()[-1]) // 2]
+
+
+def root_not_a_node(text):
+    return json.dumps({**json.loads(text), "root": 99})
+
+
+MALFORMED_RUN_FILES = [
+    *[("report", name, content) for name in ("trace.json", "ledger.json", "rounds.jsonl")
+      for content in ("{}", "[]", "nope")],
+    *[("export-trace", "trace.json", content) for content in ("{}", "[]", "nope")],
+    ("report", "rounds.jsonl", cut_last_line),
+    ("report", "trace.json", root_not_a_node),
+    ("export-trace", "trace.json", root_not_a_node),
+    ("report", "config.json", "nope"),
+]
+
+
+@pytest.mark.parametrize("command, name, content", MALFORMED_RUN_FILES, ids=[
+    f"{command}-{name}-{getattr(content, '__name__', content)}"
+    for command, name, content in MALFORMED_RUN_FILES])
+def test_malformed_run_file_exits_missing_artifacts(command, name, content, config_file,
+                                                    tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out)]) == EXIT_OK
+    path = out / name
+    path.write_text(content if isinstance(content, str) else content(path.read_text()),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, str(out)]) == EXIT_MISSING_ARTIFACTS
+    err = capsys.readouterr().err
+    assert err.startswith("missing artifacts:") and name in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
+def test_every_row_of_the_exit_table_can_be_reached():
+    for index, (classes, _, _) in enumerate(ERROR_EXITS):
+        earlier = tuple(cls for row in ERROR_EXITS[:index] for cls in row[0])
+        assert not [cls for cls in classes if issubclass(cls, earlier)], ERROR_EXITS[index]
 
 
 def test_optimize_transport_failure_exit_code(tmp_path, config_file):

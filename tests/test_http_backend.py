@@ -226,6 +226,27 @@ def test_client_error_not_retried():
         assert backend.requests_sent == 1
 
 
+def test_redirect_is_a_transport_failure_and_not_followed(tmp_path, capsys):
+    with StubServer([(307, b"", {"Location": "/v2/chat/completions"})]) as stub:
+        backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
+        with pytest.raises(TransportFailureError,
+                           match=r"status 307 \(Location: /v2/chat/completions\)"):
+            backend.generate(agent_request())
+        assert backend.requests_sent == 1
+        assert [r["path"] for r in stub.requests] == ["/v1/chat/completions"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "budget": 0, "max_parallel": 1,
+            "dataset": {"synthetic": {"train_size": 8, "val_size": 4}},
+            "http": {"base_url": stub.base_url, "backoff_base": 0.0}}))
+        code = main(["optimize", str(config), "defective", str(tmp_path / "run"),
+                     "--backend", "http"])
+    assert code == EXIT_TRANSPORT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("transport failure:") and "307" in err and "/v2/chat" in err
+    assert all(r["path"] == "/v1/chat/completions" for r in stub.requests)
+
+
 @pytest.mark.parametrize("content", [None, ["part"], 7])
 def test_non_string_content_is_a_transport_failure(content):
     # OpenAI-compatible servers answer reasoning or tool-call turns with

@@ -6,7 +6,7 @@ import pytest
 
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import RunConfig, Taxonomy, TaxonomyEntry, default_taxonomy, load_seed_prompt
-from vistaopt.errors import MissingArtifactsError, MissingTraceError
+from vistaopt.errors import MissingArtifactsError
 from vistaopt.optimizer import run
 from vistaopt.reports import (
     ReportBundle,
@@ -130,5 +130,5 @@ def test_build_report_raises_missing_artifacts(missing, run_dir, taxonomy):
 
 
 def test_load_trace_missing(tmp_path):
-    with pytest.raises(MissingTraceError):
+    with pytest.raises(MissingArtifactsError):
         load_trace(tmp_path)

@@ -3,7 +3,6 @@ verification, a Pareto candidate pool, and a semantically labeled trace."""
 
 from .backends import (
     GenerationRequest,
-    HttpBackend,
     RoleRouter,
     SyntheticBackend,
     SyntheticWorldConfig,
@@ -69,3 +68,14 @@ __all__ = [
     "import_tree",
     "__version__",
 ]
+
+
+def __getattr__(name: str):  # HttpBackend loads, through .backends, on first use
+    if name == "HttpBackend":
+        from .backends import HttpBackend
+        return HttpBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), "HttpBackend"])

@@ -1,5 +1,4 @@
 from .base import Backend, GenerationRequest, RoleRouter
-from .http import HttpBackend
 from .synthetic import (
     SyntheticBackend,
     SyntheticWorldConfig,
@@ -23,3 +22,14 @@ __all__ = [
     "synthetic_base_answer",
     "synthetic_reflect",
 ]
+
+
+def __getattr__(name: str):  # HttpBackend brings requests, ssl and http.client: load on use
+    if name == "HttpBackend":
+        from .http import HttpBackend
+        return HttpBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), "HttpBackend"])

@@ -14,7 +14,6 @@ from collections import Counter
 from pathlib import Path
 
 from .artifacts import write_atomic
-from .backends.http import HttpBackend
 from .backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from .domain import (
     RunConfig,
@@ -73,10 +72,14 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
     files = isinstance(section, dict) and section and "synthetic" not in section
     where, build = (("dataset", load_dataset) if files
                     else ("dataset.synthetic", make_synthetic_dataset))
+    # Only an http section (checked whatever the backend) or run loads HttpBackend.
+    http = backend_kind == "http" or file_config.get("http") is not None
+    if http:
+        from .backends.http import HttpBackend
     run_args, taxonomy_args, template_args, world_args, http_args, dataset_args = check_config(
         file_config, [("", RunConfig), ("", load_taxonomy_path), ("templates", _template_paths),
                       ("synthetic_world", SyntheticWorldConfig),
-                      ("http", HttpBackend.__init__), (where, build)])
+                      ("http", HttpBackend.__init__ if http else lambda: None), (where, build)])
     # Paths in the config file are relative to its directory.
     here = os.path.dirname(os.path.abspath(config_path))
     for args in (taxonomy_args, template_args, dataset_args if files else {}):
@@ -101,7 +104,7 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
                      seed_prompt=seed_prompt, out_dir=out_dir, resolved_config=resolved,
                      template_paths=template_paths)
     finally:
-        if isinstance(backend, HttpBackend):
+        if backend_kind == "http":
             backend.close()
     print(f"run complete: best val accuracy "
           f"{result.best.val_accuracy:.4f} after {len(result.outcomes)} rounds "

@@ -56,13 +56,24 @@ def load_trace(run_dir: str | Path) -> SemanticTraceTree:
     return read_artifact(run_dir, "trace.json", import_tree)
 
 
-def build_best_curve(run_dir: Path) -> list[tuple[int, float]]:
+def _typed(value, *types: type):
+    """``value`` if its type is one of ``types``, else a TypeError.  The match
+    is exact, so a bool is not an int."""
+    if type(value) not in types:
+        raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
+def build_best_curve(run_dir: Path, trace: SemanticTraceTree) -> list[tuple[int, float]]:
+    """The curve from the run's ledger and journal, and ``trace``, its parsed
+    ``trace.json``."""
     charges = read_artifact(run_dir, "ledger.json", lambda text: {
-        c["iteration"]: c["amount"] for c in json.loads(text)["charges"]})
-    trace = load_trace(run_dir)
+        _typed(c["iteration"], int): _typed(c["amount"], int)
+        for c in json.loads(text)["charges"]})
     # The journal's lines are in iteration order.
     outcomes = read_artifact(run_dir, "rounds.jsonl", lambda text: [
-        (o["iteration"], o["best_updated"], o["winner"])
+        (_typed(o["iteration"], int), _typed(o["best_updated"], bool),
+         _typed(o["winner"], int, type(None)))
         for o in map(json.loads, text.splitlines())])
 
     seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
@@ -116,7 +127,7 @@ def build_report(run_dir: str | Path, taxonomy: Taxonomy) -> ReportBundle:
     run_dir = Path(run_dir)
     tree = load_trace(run_dir)
     bundle = ReportBundle(
-        best_curve=build_best_curve(run_dir),
+        best_curve=build_best_curve(run_dir, tree),
         attribution_histogram=build_attribution_histogram(tree, taxonomy),
         oscillation_events=find_oscillations(tree),
     )

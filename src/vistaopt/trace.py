@@ -148,6 +148,10 @@ class SemanticTraceTree:
             for e in data["edges"]
         ]
         nodes = {n["id"]: TraceNode(**n) for n in data["nodes"]}
+        for node in nodes.values():  # exact types: a bool is not a number
+            if type(node.val_accuracy) not in (int, float, type(None)):
+                raise ValueError(f"node {node.id!r}: val_accuracy {node.val_accuracy!r} "
+                                 "is not a number")
         if data["root"] not in nodes:
             raise ValueError(f"root {data['root']!r} is not among the nodes")
         return cls(root=data["root"], nodes=nodes, edges=edges)

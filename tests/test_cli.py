@@ -217,6 +217,21 @@ def root_not_a_node(text):
     return json.dumps({**json.loads(text), "root": 99})
 
 
+def first_record(records, key, value):
+    """An edit that sets ``key`` to ``value`` in the first of a JSON run
+    file's ``records`` list, or in the first line of a JSON-lines file when
+    ``records`` is None."""
+    def edit(text):
+        if records is None:
+            first, rest = text.split("\n", 1)
+            return json.dumps({**json.loads(first), key: value}) + "\n" + rest
+        data = json.loads(text)
+        data[records][0][key] = value
+        return json.dumps(data)
+    edit.__name__ = f"{key}={json.dumps(value)}"
+    return edit
+
+
 MALFORMED_RUN_FILES = [
     *[("report", name, content) for name in ("trace.json", "ledger.json", "rounds.jsonl")
       for content in ("{}", "[]", "nope")],
@@ -225,6 +240,13 @@ MALFORMED_RUN_FILES = [
     ("report", "trace.json", root_not_a_node),
     ("export-trace", "trace.json", root_not_a_node),
     ("report", "config.json", "nope"),
+    # Well-formed keys holding a value of the wrong type.
+    *[("report", "ledger.json", first_record("charges", key, value))
+      for key, value in (("amount", "x"), ("amount", True), ("iteration", "1"))],
+    *[("report", "rounds.jsonl", first_record(None, key, value))
+      for key, value in (("iteration", 1.0), ("best_updated", 1), ("winner", "1"))],
+    *[(command, "trace.json", first_record("nodes", "val_accuracy", value))
+      for command in ("report", "export-trace") for value in ("x", True)],
 ]
 
 

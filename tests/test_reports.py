@@ -97,7 +97,7 @@ def run_dir(tmp_path):
 
 
 def test_best_curve_starts_at_seed_and_tracks_ledger(run_dir):
-    curve = build_best_curve(run_dir)
+    curve = build_best_curve(run_dir, load_trace(run_dir))
     assert curve[0] == (0, 0.24)
     ledger = json.loads((run_dir / "ledger.json").read_text())
     assert curve[-1][0] == sum(c["amount"] for c in ledger["charges"])
@@ -111,6 +111,15 @@ def test_build_report_bundle_invariants(run_dir, taxonomy):
     bundle = build_report(run_dir, taxonomy)
     bundle.check_invariants()
     assert bundle.attribution_histogram["cot_field_ordering"]["accepted"] >= 1
+
+
+def test_build_report_parses_the_trace_once(run_dir, taxonomy, monkeypatch):
+    parses = []
+    from_dict = SemanticTraceTree.from_dict
+    monkeypatch.setattr(SemanticTraceTree, "from_dict",
+                        classmethod(lambda cls, data: parses.append(data) or from_dict(data)))
+    build_report(run_dir, taxonomy)
+    assert len(parses) == 1
 
 
 def test_report_bundle_invariant_violations_detected():

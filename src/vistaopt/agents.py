@@ -18,9 +18,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .domain import UNCLASSIFIED_ID, Hypothesis, Taxonomy, free_label
+from .domain import UNCLASSIFIED_ID, Hypothesis, TaskItem, Taxonomy, free_label
 from .errors import EmptyRewriteError, MissingBindingError, NoBlocksFoundError
-from .evaluation import FailureCase
+from .evaluation import EvaluationRecord
 from .trace import TraceEdge, trajectory_context_block
 
 HYPOTHESIS_PLACEHOLDERS = frozenset(
@@ -85,19 +85,21 @@ def _truncate_raw(raw: str) -> str:
     return raw
 
 
-def format_failures(failures: Sequence[FailureCase], *, include_task_fields: bool = True) -> str:
-    """Numbered failure blocks; a restart reflection conditions only on the
-    raw output and parse error, so its caller omits the task fields."""
+def format_failures(failures: Sequence[tuple[TaskItem, EvaluationRecord]], *,
+                    include_task_fields: bool = True) -> str:
+    """Numbered failure blocks from ``(item, record)`` pairs; a restart
+    reflection conditions only on the raw output and parse error, so its
+    caller omits the task fields."""
     if not failures:
         return "(none)"
     blocks = []
-    for n, f in enumerate(failures, start=1):
+    for n, (item, record) in enumerate(failures, start=1):
         lines = [f"[FAILURE {n}]"]
         if include_task_fields:
-            lines.append(f"Question: {f.question}")
-            lines.append(f"Gold answer: {f.gold}")
-        lines.append(f"Raw output: {_truncate_raw(f.raw_output)}")
-        lines.append(f"Parse error: {f.parse_error if f.parse_error is not None else 'none'}")
+            lines.append(f"Question: {item.question}")
+            lines.append(f"Gold answer: {item.gold_answer}")
+        lines.append(f"Raw output: {_truncate_raw(record.raw_output)}")
+        lines.append(f"Parse error: {record.parse_error if record.parse_error is not None else 'none'}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
 

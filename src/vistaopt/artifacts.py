@@ -1,7 +1,8 @@
 """The two ways run-directory files are written, both key-sorted so that
 identical data gives identical bytes: a snapshot is indented JSON (or text)
 renamed over its target from a temporary file, and the round journal gets
-one compact JSON line per round, appended with one write and flushed."""
+one compact JSON line per round, appended with one write and flushed.
+``_typed`` checks the type of a value read back from either."""
 
 from __future__ import annotations
 
@@ -31,3 +32,11 @@ def write_atomic(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _typed(value, *types: type):
+    """``value`` if its type is one of ``types``, else a TypeError.  The match
+    is exact, so a bool is not an int."""
+    if type(value) not in types:
+        raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value

@@ -53,12 +53,6 @@ class InvalidConfigError(VistaError):
         super().__init__("; ".join(self.violations))
 
 
-# ------------------------------------------------------------ evaluation
-
-class MinibatchMismatchError(VistaError):
-    pass
-
-
 # ---------------------------------------------------------------- pareto
 
 class LengthMismatchError(VistaError):

@@ -137,12 +137,12 @@ class PromptOptimizer:
 
     # ---------------------------------------------------------- predict
 
-    def _evaluate(self, items: Sequence[TaskItem]) -> list[EvaluationRecord]:
+    def _evaluate(self, items: Sequence[TaskItem]) -> tuple[EvaluationRecord, ...]:
         """Run the optimized prompt over items on a fresh evaluator, so the
         fitted run's metric counters stay untouched."""
         check_is_fitted(self)
         evaluator = Evaluator(self.backend_, max_parallel=self.max_parallel)
-        return evaluator.evaluate_items(self.best_prompt_, items, charged=False)
+        return evaluator.evaluate([self.best_prompt_], items, charged=False)[0]
 
     def predict(self, questions: Sequence[str]) -> list[str | None]:
         """Answer questions with the optimized prompt; None where the

@@ -1,5 +1,5 @@
-"""Candidate scoring: answer extraction, the exact-match metric, minibatch
-sampling, accuracy gains, and failure-case collection.
+"""Candidate scoring: answer extraction, the exact-match metric, the
+evaluator, and failure-case collection.
 
 The budget meters scored evaluations only.  Parent-baseline re-evaluations
 and extra restart look-ahead probes are tracked separately as uncharged
@@ -8,20 +8,15 @@ work so the ledger stays an exact mirror of the charged counter.
 
 from __future__ import annotations
 
-import functools
 import json
-import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .backends.base import Backend, GenerationRequest, declared
-from .errors import MinibatchMismatchError
-
-if TYPE_CHECKING:
-    from .domain import TaskDataset, TaskItem
+from .domain import TaskItem
 
 NO_OBJECT_FOUND = "NoObjectFound"
 MISSING_FIELD = "MissingField"
@@ -117,59 +112,13 @@ class EvaluationRecord:
             raise ValueError("parse_error implies score 0 and no extracted answer")
 
 
-@dataclass(frozen=True)
-class MinibatchResult:
-    minibatch: tuple[str, ...]
-    records: tuple[EvaluationRecord, ...]
-
-    def __post_init__(self):
-        if len(self.records) != len(self.minibatch):
-            raise ValueError("one record per minibatch item required")
-
-    @functools.cached_property
-    def correct_count(self) -> int:
-        return sum(r.score for r in self.records)
+def collect_failures(items: Sequence[TaskItem], records: Sequence[EvaluationRecord]
+                     ) -> list[tuple[TaskItem, EvaluationRecord]]:
+    """``(item, record)`` for every score-0 record, in minibatch order."""
+    return [(item, record) for item, record in zip(items, records) if record.score == 0]
 
 
-@dataclass(frozen=True)
-class FailureCase:
-    question: str
-    gold: str
-    raw_output: str
-    parse_error: str | None
-
-
-def sample_minibatch(train_ids: Sequence[str], b: int, rng: random.Random) -> list[str]:
-    """Draw b distinct train item ids uniformly without replacement from
-    the run's seeded stream; callers draw afresh every round."""
-    return rng.sample(train_ids, b)
-
-
-def delta_acc(candidate: MinibatchResult, parent: MinibatchResult) -> int:
-    """Accuracy gain in count units (divide by b for the fraction form)."""
-    if candidate.minibatch != parent.minibatch:
-        raise MinibatchMismatchError("results come from different minibatches")
-    return candidate.correct_count - parent.correct_count
-
-
-def collect_failures(result: MinibatchResult, dataset: "TaskDataset") -> list[FailureCase]:
-    """Failure cases for every score-0 record, in minibatch order."""
-    failures = []
-    for record in result.records:
-        if record.score == 0:
-            item = dataset.item(record.item_id)
-            failures.append(
-                FailureCase(
-                    question=item.question,
-                    gold=item.gold_answer,
-                    raw_output=record.raw_output,
-                    parse_error=record.parse_error,
-                )
-            )
-    return failures
-
-
-def score_output(item: "TaskItem", raw: str) -> EvaluationRecord:
+def score_output(item: TaskItem, raw: str) -> EvaluationRecord:
     extracted, err = extract_final_answer(raw)
     if err is not None:
         return EvaluationRecord(item_id=item.id, raw_output=raw, parse_error=err,
@@ -219,24 +168,24 @@ class Evaluator:
         self.metric_calls = 0
         self.uncharged_calls = 0
         memo = declared(backend, "deterministic", "base")
-        self._memo: dict[tuple[str, "TaskItem"], EvaluationRecord] | None = {} if memo else None
-        self._scores: dict[tuple["TaskItem", str], EvaluationRecord] | None = {} if memo else None
+        self._memo: dict[tuple[str, TaskItem], EvaluationRecord] | None = {} if memo else None
+        self._scores: dict[tuple[TaskItem, str], EvaluationRecord] | None = {} if memo else None
 
-    def _score(self, item: "TaskItem", raw: str) -> EvaluationRecord:
+    def _score(self, item: TaskItem, raw: str) -> EvaluationRecord:
         if self._scores is None:
             return score_output(item, raw)
         if (item, raw) not in self._scores:
             self._scores[item, raw] = score_output(item, raw)
         return self._scores[item, raw]
 
-    def _generate_and_score(self, tasks: Sequence[tuple[str, "TaskItem"]]) -> list[EvaluationRecord]:
+    def _generate_and_score(self, tasks: Sequence[tuple[str, TaskItem]]) -> list[EvaluationRecord]:
         requests = [GenerationRequest(role="base",
                                       messages=(("system", text), ("user", item.question)))
                     for text, item in tasks]
         raws = generate_in_order(self.backend, requests, self.max_parallel)
         return [self._score(item, raw) for (_text, item), raw in zip(tasks, raws)]
 
-    def _dispatch(self, tasks: Sequence[tuple[str, "TaskItem"]], *,
+    def _dispatch(self, tasks: Sequence[tuple[str, TaskItem]], *,
                   charged: bool) -> list[EvaluationRecord]:
         if self._memo is None:
             records = self._generate_and_score(tasks)
@@ -254,18 +203,11 @@ class Evaluator:
             self.uncharged_calls += len(tasks)
         return records
 
-    def evaluate_items(self, prompt_text: str, items: Sequence["TaskItem"], *,
-                       charged: bool) -> list[EvaluationRecord]:
-        return self._dispatch([(prompt_text, item) for item in items], charged=charged)
-
-    def evaluate_batches(self, prompt_texts: Sequence[str], dataset: "TaskDataset",
-                         minibatch: Sequence[str], *, charged: bool) -> list[MinibatchResult]:
-        """Evaluate several candidates on the same minibatch; the flattened
-        (candidate, item) grid shares one dispatch."""
-        items = [dataset.item(i) for i in minibatch]
+    def evaluate(self, prompt_texts: Sequence[str], items: Sequence[TaskItem], *,
+                 charged: bool) -> list[tuple[EvaluationRecord, ...]]:
+        """Each prompt's records, in item order.  Several prompts on the same
+        items (a round's rewrites on its minibatch) share one dispatch."""
         records = self._dispatch(
             [(text, item) for text in prompt_texts for item in items], charged=charged)
         n = len(items)
-        return [MinibatchResult(minibatch=tuple(minibatch),
-                                records=tuple(records[s * n:(s + 1) * n]))
-                for s in range(len(prompt_texts))]
+        return [tuple(records[s * n:(s + 1) * n]) for s in range(len(prompt_texts))]

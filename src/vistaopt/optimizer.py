@@ -6,11 +6,14 @@ budget accounting.
 Each round is decided, then applied.  ``OptimizationRun.step_round``
 decides: it draws a parent and a minibatch and runs one branch (K labeled
 hypotheses, a blank restart, a single-mutation fallback), which only
-generates its rewrites and writes its log lines.  All three share
-``OptimizationRun._verify``: every rewrite is scored on the round's
-minibatch in one evaluator dispatch, the strictly best gain over the parent
-wins (ties go to the lowest slot), and the winner is scored on the full
-validation set.  Deciding changes no run state.  ``OptimizationRun._apply``
+generates its rewrites and writes its log lines.  The minibatch is b train
+items, and ``Evaluator.evaluate`` returns one tuple of records per prompt;
+the parent's correct count on the items is summed once per round.  All
+three branches share ``OptimizationRun._verify``: every rewrite is scored on
+the items in one evaluator dispatch, its gain is its correct count minus
+the parent's, the strictly best gain wins (ties go to the lowest slot), and
+the winner is scored on the full validation set.  The journal names the
+minibatch by item id.  Deciding changes no run state.  ``OptimizationRun._apply``
 then commits the ``RoundOutcome``; it is the only method that changes the
 candidates, the pool, the best candidate, the trace, the ledger and the
 outcome list, so a round that raises leaves all six as they were.
@@ -56,18 +59,11 @@ from .domain import (
     PromptCandidate,
     RunConfig,
     TaskDataset,
+    TaskItem,
     Taxonomy,
 )
 from .errors import EmptyRewriteError, NoBlocksFoundError
-from .evaluation import (
-    Evaluator,
-    FailureCase,
-    MinibatchResult,
-    collect_failures,
-    delta_acc,
-    generate_in_order,
-    sample_minibatch,
-)
+from .evaluation import Evaluator, collect_failures, generate_in_order
 from .pareto import ParetoPool
 from .trace import ACCEPTED, REJECTED, SemanticTraceTree, TraceEdge, TraceNode, export_tree
 
@@ -214,14 +210,13 @@ class OptimizationRun:
         self.rng_slots = random.Random(f"{seed}/slots")
         self.rng_lookahead = random.Random(f"{seed}/lookahead")
 
-        self._train_ids = [item.id for item in dataset.train]
         self.outcomes: list[RoundOutcome] = []
         self.ledger = BudgetLedger(initial=config.budget)
 
         # Seed initialization: the seed is validation-scored (unmetered,
         # pre-loop) and enters the pool unconditionally.
-        scores = [r.score for r in self.evaluator.evaluate_items(
-            seed_prompt, dataset.val, charged=False)]
+        (records,) = self.evaluator.evaluate([seed_prompt], dataset.val, charged=False)
+        scores = [r.score for r in records]
         self.best = PromptCandidate(id=0, text=seed_prompt).with_val_scores(scores)
         self.candidates: dict[int, PromptCandidate] = {0: self.best}
         self.pool = ParetoPool(vector_length=len(dataset.val))
@@ -241,23 +236,22 @@ class OptimizationRun:
         return extract_rewritten_prompt(
             self.backend.generate(self._reflection_request(parent_text, hypothesis, failure_block)))
 
-    def _verify(self, outcome: RoundOutcome, parent_result: MinibatchResult,
+    def _verify(self, outcome: RoundOutcome, items: list[TaskItem], parent_correct: int,
                 slots: list[tuple[int, str, str, str]]) -> ProposalRecord | None:
         """Score every ``(slot, label, origin, text)`` rewrite on the round's
-        minibatch, take the strictly best gain over the parent as the winner
-        (so a single proposal wins iff its gain is positive) and score it on
-        the full validation set.  Writes only ``outcome``; returns the
-        winner's record, or None."""
+        minibatch ``items``, take the strictly best gain over the parent's
+        ``parent_correct`` as the winner (so a single proposal wins iff its
+        gain is positive) and score it on the full validation set.  Writes
+        only ``outcome``; returns the winner's record, or None."""
         outcome.texts = [text for *_, text in slots]
-        results = self.evaluator.evaluate_batches(
-            outcome.texts, self.dataset, parent_result.minibatch, charged=True)
+        results = self.evaluator.evaluate(outcome.texts, items, charged=True)
         first_id = len(self.candidates)
         winner: ProposalRecord | None = None
-        for i, ((slot, label, origin, _), result) in enumerate(zip(slots, results)):
+        for i, ((slot, label, origin, _), records) in enumerate(zip(slots, results)):
+            correct = sum(r.score for r in records)
             record = ProposalRecord(
                 slot=slot, label=label, origin=origin, candidate_id=first_id + i,
-                delta_minibatch=delta_acc(result, parent_result),
-                correct_count=result.correct_count)
+                delta_minibatch=correct - parent_correct, correct_count=correct)
             outcome.proposals.append(record)
             if record.delta_minibatch > (winner.delta_minibatch if winner else 0):
                 winner = record
@@ -265,8 +259,9 @@ class OptimizationRun:
         if winner is not None:
             outcome.winner = winner.candidate_id
             outcome.winner_label = winner.label
-            outcome.winner_val_scores = scores = tuple(r.score for r in self.evaluator.evaluate_items(
-                outcome.texts[winner.candidate_id - first_id], self.dataset.val, charged=True))
+            (records,) = self.evaluator.evaluate(
+                [outcome.texts[winner.candidate_id - first_id]], self.dataset.val, charged=True)
+            outcome.winner_val_scores = scores = tuple(r.score for r in records)
             outcome.pool_accepted = self.pool.admits(scores)
             outcome.best_updated = sum(scores) / len(scores) > self.best.val_accuracy
         return winner
@@ -358,34 +353,34 @@ class OptimizationRun:
         metered = self.evaluator.metric_calls
         parent_id = self.pool.select_parent(self.rng_parent)
         parent = self.candidates[parent_id]
-        minibatch = sample_minibatch(self._train_ids, self.config.b, self.rng_minibatch)
+        items = self.rng_minibatch.sample(self.dataset.train, self.config.b)
         # Parent baseline on this round's minibatch: needed for failure
         # collection and accuracy gains, unmetered by the budget.
-        parent_result = self.evaluator.evaluate_batches(
-            [parent.text], self.dataset, minibatch, charged=False)[0]
+        (records,) = self.evaluator.evaluate([parent.text], items, charged=False)
+        parent_correct = sum(r.score for r in records)
         outcome = RoundOutcome(iteration=iteration, branch=BRANCH_FALLBACK,
-                               parent_id=parent.id, minibatch=tuple(minibatch))
+                               parent_id=parent.id, minibatch=tuple(item.id for item in items))
 
         if self.config.mode != "baseline" and self.rng_branch.random() < self.config.p:
-            self._restart_round(outcome, parent, parent_result)
+            self._restart_round(outcome, parent, items, parent_correct)
         else:
             # One failure block per round, shown to every agent of the round.
-            failures = collect_failures(parent_result, self.dataset)
+            failures = collect_failures(items, records)
             failure_block = format_failures(failures)
             if self.config.mode == "baseline":
-                self._fallback_round(outcome, parent, parent_result, failure_block)
+                self._fallback_round(outcome, parent, items, parent_correct, failure_block)
             elif failures:
-                self._hypothesis_round(outcome, parent, parent_result, failure_block)
+                self._hypothesis_round(outcome, parent, items, parent_correct, failure_block)
             else:
                 outcome.log.append(NO_FAILURES_LOG)
-                self._fallback_round(outcome, parent, parent_result, failure_block)
+                self._fallback_round(outcome, parent, items, parent_correct, failure_block)
         outcome.charge = self.evaluator.metric_calls - metered
         return outcome
 
     # --------------------------------------------------- hypothesis branch
 
     def _hypothesis_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                          parent_result: MinibatchResult, failure_block: str) -> None:
+                          items: list[TaskItem], parent_correct: int, failure_block: str) -> None:
         cfg = self.config
         outcome.branch = BRANCH_HYPOTHESES
         origins = ["free" if self.rng_slots.random() < cfg.epsilon else "heuristic"
@@ -431,7 +426,7 @@ class OptimizationRun:
                 continue
             slots.append((slot, hyp.label, hyp.origin, rewrite))
 
-        winner = self._verify(outcome, parent_result, slots)
+        winner = self._verify(outcome, items, parent_correct, slots)
         if winner is None:
             outcome.log.append(NO_WINNER_LOG)
         else:
@@ -440,7 +435,7 @@ class OptimizationRun:
     # ------------------------------------------------------ restart branch
 
     def _restart_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                       parent_result: MinibatchResult) -> None:
+                       items: list[TaskItem], parent_correct: int) -> None:
         cfg = self.config
         outcome.branch = BRANCH_RESTART
         if cfg.restart_lookahead_cap == 0:
@@ -456,15 +451,12 @@ class OptimizationRun:
         restart_text: str | None = None
         clean = False
         for step in range(cfg.restart_lookahead_cap):
-            item = self.dataset.item(self.rng_lookahead.choice(self._train_ids))
-            record = self.evaluator.evaluate_items(
-                current, [item], charged=(step == 0))[0]
+            item = self.rng_lookahead.choice(self.dataset.train)
+            ((record,),) = self.evaluator.evaluate([current], [item], charged=(step == 0))
             outcome.lookahead_steps += 1
-            probe = FailureCase(question="", gold="", raw_output=record.raw_output,
-                                parse_error=record.parse_error)
             try:
                 restart_text = self._reflect(
-                    "", H_BLANK, format_failures([probe], include_task_fields=False))
+                    "", H_BLANK, format_failures([(item, record)], include_task_fields=False))
             except EmptyRewriteError:
                 restart_text = None
                 break
@@ -478,19 +470,20 @@ class OptimizationRun:
                 f"Restart look-ahead did not converge within {cfg.restart_lookahead_cap} steps; round skipped.")
             return
 
-        winner = self._verify(outcome, parent_result, [(0, BLANK_LABEL, "blank", restart_text)])
+        winner = self._verify(outcome, items, parent_correct,
+                              [(0, BLANK_LABEL, "blank", restart_text)])
         if winner is not None:
             outcome.log.append("Random restart accepted.")
         else:
             outcome.log.append(RESTART_NO_IMPROVEMENT_LOG)
             outcome.log.append(
-                f"Validation: old_sum={float(parent_result.correct_count):.4f}, "
+                f"Validation: old_sum={float(parent_correct):.4f}, "
                 f"new_sum={float(outcome.proposals[0].correct_count):.4f}, improved=False.")
 
     # ----------------------------------------------------- fallback branch
 
     def _fallback_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                        parent_result: MinibatchResult, failure_block: str) -> None:
+                        items: list[TaskItem], parent_correct: int, failure_block: str) -> None:
         outcome.branch = BRANCH_FALLBACK
         try:
             text = self._reflect(parent.text, FALLBACK_DIRECTIVE, failure_block)
@@ -499,13 +492,13 @@ class OptimizationRun:
             outcome.log.append("Fallback mutation produced an empty rewrite. Round skipped.")
             return
 
-        winner = self._verify(outcome, parent_result, [(0, UNLABELED, "fallback", text)])
+        winner = self._verify(outcome, items, parent_correct, [(0, UNLABELED, "fallback", text)])
         if winner is not None:
             outcome.log.append("Single-mutation candidate accepted.")
         else:
             outcome.log.append(
                 f"Candidate subsample score {float(outcome.proposals[0].correct_count):.1f} "
-                f"is not better than old score {float(parent_result.correct_count):.1f}, skipping.")
+                f"is not better than old score {float(parent_correct):.1f}, skipping.")
 
     # ---------------------------------------------------------- artifacts
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .artifacts import json_text, write_atomic
+from .artifacts import _typed, json_text, write_atomic
 from .domain import Taxonomy
 from .errors import MissingArtifactsError
 from .trace import ACCEPTED, SemanticTraceTree, detect_oscillation, import_tree
@@ -28,14 +28,6 @@ class ReportBundle:
     # present even when its counts are zero.
     attribution_histogram: dict[str, dict[str, int]]
     oscillation_events: list[dict] = field(default_factory=list)
-
-    def check_invariants(self) -> None:
-        calls = [c for c, _ in self.best_curve]
-        accs = [a for _, a in self.best_curve]
-        if any(b <= a for a, b in zip(calls, calls[1:])):
-            raise AssertionError("metric calls must strictly increase")
-        if any(b < a for a, b in zip(accs, accs[1:])):
-            raise AssertionError("best accuracy must be non-decreasing")
 
 
 def read_artifact(run_dir: str | Path, name: str, parse: Callable[[str], T]) -> T:
@@ -56,20 +48,16 @@ def load_trace(run_dir: str | Path) -> SemanticTraceTree:
     return read_artifact(run_dir, "trace.json", import_tree)
 
 
-def _typed(value, *types: type):
-    """``value`` if its type is one of ``types``, else a TypeError.  The match
-    is exact, so a bool is not an int."""
-    if type(value) not in types:
-        raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
-    return value
-
-
 def build_best_curve(run_dir: Path, trace: SemanticTraceTree) -> list[tuple[int, float]]:
     """The curve from the run's ledger and journal, and ``trace``, its parsed
     ``trace.json``."""
-    charges = read_artifact(run_dir, "ledger.json", lambda text: {
-        _typed(c["iteration"], int): _typed(c["amount"], int)
-        for c in json.loads(text)["charges"]})
+    def charge(c: dict) -> tuple[int, int]:
+        if _typed(c["amount"], int) < 0:
+            raise ValueError(f"charge amount {c['amount']} is negative")
+        return _typed(c["iteration"], int), c["amount"]
+
+    charges = read_artifact(run_dir, "ledger.json",
+                            lambda text: dict(map(charge, json.loads(text)["charges"])))
     # The journal's lines are in iteration order.
     outcomes = read_artifact(run_dir, "rounds.jsonl", lambda text: [
         (_typed(o["iteration"], int), _typed(o["best_updated"], bool),
@@ -126,13 +114,11 @@ def find_oscillations(tree: SemanticTraceTree, window: int = 4) -> list[dict]:
 def build_report(run_dir: str | Path, taxonomy: Taxonomy) -> ReportBundle:
     run_dir = Path(run_dir)
     tree = load_trace(run_dir)
-    bundle = ReportBundle(
+    return ReportBundle(
         best_curve=build_best_curve(run_dir, tree),
         attribution_histogram=build_attribution_histogram(tree, taxonomy),
         oscillation_events=find_oscillations(tree),
     )
-    bundle.check_invariants()
-    return bundle
 
 
 def write_report(run_dir: str | Path, bundle: ReportBundle) -> None:

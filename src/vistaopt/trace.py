@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .artifacts import json_text
+from .artifacts import _typed, json_text
 from .errors import DuplicateNodeError, UnknownNodeError, UnknownParentError
 
 ACCEPTED = "accepted"
@@ -63,10 +63,6 @@ class SemanticTraceTree:
     # to_id -> the first edge into that node, so trajectory walks in O(depth).
     _incoming: dict[int, TraceEdge] = field(init=False, default_factory=dict,
                                             compare=False, repr=False)
-
-    def __post_init__(self):
-        for edge in self.edges:
-            self._incoming.setdefault(edge.to_id, edge)
 
     @classmethod
     def with_root(cls, node: TraceNode) -> "SemanticTraceTree":
@@ -134,19 +130,10 @@ class SemanticTraceTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SemanticTraceTree":
-        edges = [
-            TraceEdge(
-                from_id=e["from"],
-                to_id=e["to"],
-                label=e["label"],
-                delta_minibatch=e["delta_minibatch"],
-                delta_val_pp=e.get("delta_val_pp"),
-                status=e["status"],
-                iteration=e["iteration"],
-                origin=e["origin"],
-            )
-            for e in data["edges"]
-        ]
+        """Rebuild the tree as a run builds it, from the root and then each
+        edge in order through ``record_proposal``, so an imported tree holds
+        the same invariants; each node must be the root or an edge's target.
+        Every rejection is a ValueError, naming the edge when one is at fault."""
         nodes = {n["id"]: TraceNode(**n) for n in data["nodes"]}
         for node in nodes.values():  # exact types: a bool is not a number
             if type(node.val_accuracy) not in (int, float, type(None)):
@@ -154,7 +141,31 @@ class SemanticTraceTree:
                                  "is not a number")
         if data["root"] not in nodes:
             raise ValueError(f"root {data['root']!r} is not among the nodes")
-        return cls(root=data["root"], nodes=nodes, edges=edges)
+        tree = cls.with_root(nodes[data["root"]])
+        for index, e in enumerate(data["edges"]):
+            try:
+                edge = TraceEdge(
+                    from_id=_typed(e["from"], int, type(None)),
+                    to_id=_typed(e["to"], int),
+                    label=_typed(e["label"], str),
+                    delta_minibatch=_typed(e["delta_minibatch"], int),
+                    delta_val_pp=_typed(e.get("delta_val_pp"), int, float, type(None)),
+                    status=e["status"],
+                    iteration=_typed(e["iteration"], int),
+                    origin=_typed(e["origin"], str),
+                )
+                if edge.status not in (ACCEPTED, REJECTED):
+                    raise ValueError(f"status {edge.status!r} is not {ACCEPTED} or {REJECTED}")
+                if edge.to_id not in nodes:
+                    raise ValueError(f"target {edge.to_id} is not among the nodes")
+                tree.record_proposal(edge, nodes[edge.to_id])
+            except (DuplicateNodeError, UnknownParentError, LookupError, TypeError,
+                    ValueError) as exc:
+                raise ValueError(f"edge {index}: {type(exc).__name__}: {exc}") from exc
+        if len(data["nodes"]) != len(tree.nodes):
+            stray = [n["id"] for n in data["nodes"] if n["id"] not in tree.nodes]
+            raise ValueError(f"nodes listed twice or created by no edge: {stray}")
+        return tree
 
     def to_dot(self) -> str:
         lines = ["digraph trace {", "  rankdir=TB;", "  node [shape=circle];"]

@@ -27,8 +27,8 @@ from vistaopt.backends.synthetic import (
     extract_features,
     make_synthetic_dataset,
 )
-from vistaopt.domain import Hypothesis, RunConfig, default_taxonomy, load_seed_prompt
-from vistaopt.evaluation import FailureCase, exact_match, normalize_answer
+from vistaopt.domain import Hypothesis, RunConfig, TaskItem, default_taxonomy, load_seed_prompt
+from vistaopt.evaluation import EvaluationRecord, exact_match, normalize_answer
 from vistaopt.optimizer import (
     BRANCH_FALLBACK,
     BRANCH_HYPOTHESES,
@@ -192,8 +192,10 @@ def test_criterion_6_trace_integrity():
 
 def test_criterion_7_template_fidelity():
     taxonomy = default_taxonomy()
-    failures = format_failures(
-        [FailureCase(question="q", gold="1", raw_output="r", parse_error=None)])
+    failures = format_failures([(
+        TaskItem(id="q", question="q", gold_answer="1"),
+        EvaluationRecord(item_id="q", raw_output="r", parse_error=None, extracted_answer="0",
+                         score=0))])
     hyp_text = render_hypothesis_prompt(
         load_template("hypothesis"), "PROMPT", render_taxonomy(taxonomy), failures, 3)
     refl_text = render_reflection_prompt(

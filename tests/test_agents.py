@@ -12,9 +12,9 @@ from vistaopt.agents import (
     render_reflection_prompt,
     render_taxonomy,
 )
-from vistaopt.domain import Hypothesis
+from vistaopt.domain import Hypothesis, TaskItem
 from vistaopt.errors import EmptyRewriteError, MissingBindingError, NoBlocksFoundError
-from vistaopt.evaluation import FailureCase
+from vistaopt.evaluation import EvaluationRecord
 from vistaopt.trace import TraceEdge
 
 WELL_FORMED = """[HYPOTHESIS 1]
@@ -34,12 +34,18 @@ FIX: Ask for intermediate steps.
 """
 
 
+def failure(question, gold, raw_output, parse_error):
+    """One ``(item, record)`` pair of a score-0 evaluation."""
+    item = TaskItem(id=question, question=question, gold_answer=gold)
+    extracted = None if parse_error else "0"
+    return item, EvaluationRecord(item_id=item.id, raw_output=raw_output,
+                                  parse_error=parse_error, extracted_answer=extracted, score=0)
+
+
 def failure_block():
     return format_failures([
-        FailureCase(question="What is 2 + 2?", gold="4",
-                    raw_output='{"final_answer": "5"}', parse_error=None),
-        FailureCase(question="What is 3 * 3?", gold="9",
-                    raw_output="nonsense", parse_error="NoObjectFound"),
+        failure("What is 2 + 2?", "4", '{"final_answer": "5"}', None),
+        failure("What is 3 * 3?", "9", "nonsense", "NoObjectFound"),
     ])
 
 
@@ -103,7 +109,7 @@ def test_taxonomy_rendered_in_list_form(taxonomy):
 
 def test_failure_blocks_truncate_long_outputs():
     long_raw = "x" * 5000
-    text = format_failures([FailureCase("q", "1", long_raw, None)])
+    text = format_failures([failure("q", "1", long_raw, None)])
     assert "...[truncated]" in text
     assert len(text) < 3000
 

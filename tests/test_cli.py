@@ -232,6 +232,17 @@ def first_record(records, key, value):
     return edit
 
 
+def first_accepted_edge(key, value):
+    """An edit that sets ``key`` to ``value`` in the first accepted edge of a
+    ``trace.json``."""
+    def edit(text):
+        data = json.loads(text)
+        next(e for e in data["edges"] if e["status"] == "accepted")[key] = value
+        return json.dumps(data)
+    edit.__name__ = f"accepted-{key}={json.dumps(value)}"
+    return edit
+
+
 MALFORMED_RUN_FILES = [
     *[("report", name, content) for name in ("trace.json", "ledger.json", "rounds.jsonl")
       for content in ("{}", "[]", "nope")],
@@ -247,6 +258,10 @@ MALFORMED_RUN_FILES = [
       for key, value in (("iteration", 1.0), ("best_updated", 1), ("winner", "1"))],
     *[(command, "trace.json", first_record("nodes", "val_accuracy", value))
       for command in ("report", "export-trace") for value in ("x", True)],
+    # Well-typed values that no run writes.
+    ("report", "ledger.json", first_record("charges", "amount", -50)),
+    *[(command, "trace.json", edit) for command in ("report", "export-trace")
+      for edit in (first_record("edges", "from", 12345), first_accepted_edge("delta_val_pp", "x"))],
 ]
 
 

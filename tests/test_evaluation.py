@@ -1,33 +1,26 @@
-import math
-import random
 import threading
 import time
 
 import pytest
 
 from vistaopt.backends.synthetic import SyntheticBackend
-from vistaopt.errors import MinibatchMismatchError
 from vistaopt.evaluation import (
     EvaluationRecord,
     Evaluator,
-    MinibatchResult,
     collect_failures,
-    delta_acc,
     exact_match,
     extract_final_answer,
     normalize_answer,
-    sample_minibatch,
     score_output,
 )
 
 
-def make_result(ids, scores):
-    records = tuple(
-        EvaluationRecord(item_id=i, raw_output="raw", parse_error=None,
+def make_records(items, scores):
+    return tuple(
+        EvaluationRecord(item_id=item.id, raw_output="raw", parse_error=None,
                          extracted_answer="x", score=s)
-        for i, s in zip(ids, scores)
+        for item, s in zip(items, scores)
     )
-    return MinibatchResult(minibatch=tuple(ids), records=records)
 
 
 # ------------------------------------------------------------- extraction
@@ -104,108 +97,32 @@ def test_normalize_thousands_separator():
     assert normalize_answer("600") == "600"
 
 
-# --------------------------------------------------------------- sampling
-
-def train_ids(dataset):
-    return [item.id for item in dataset.train]
-
-
-def test_sample_full_permutation(dataset_50):
-    rng = random.Random(1)
-    ids = sample_minibatch(train_ids(dataset_50), 50, rng)
-    assert sorted(ids) == sorted(i.id for i in dataset_50.train)
-
-
-def test_sample_deterministic_with_seed(dataset_50):
-    a = [sample_minibatch(train_ids(dataset_50), 8, random.Random(5)) for _ in range(10)]
-    b = [sample_minibatch(train_ids(dataset_50), 8, random.Random(5)) for _ in range(10)]
-    assert a == b
-
-
-def test_sample_distinct_ids(dataset_50):
-    ids = sample_minibatch(train_ids(dataset_50), 8, random.Random(0))
-    assert len(ids) == 8 and len(set(ids)) == 8
-
-
-def test_sample_inclusion_frequency_3_sigma(dataset_50):
-    # frozen-seed check that every item's empirical inclusion frequency is
-    # within 3 sigma of b/|train| over 1000 draws
-    rng = random.Random(123)
-    n, b, size = 1000, 8, 50
-    counts = {item.id: 0 for item in dataset_50.train}
-    for _ in range(n):
-        for picked in sample_minibatch(train_ids(dataset_50), b, rng):
-            counts[picked] += 1
-    p = b / size
-    sigma = math.sqrt(p * (1 - p) / n)
-    for item_id, count in counts.items():
-        assert abs(count / n - p) < 3 * sigma, item_id
-
-
-# --------------------------------------------------------------- delta acc
-
-def test_delta_acc_from_counts():
-    ids = [f"i{k}" for k in range(8)]
-    candidate = make_result(ids, [1, 1, 1, 1, 1, 1, 1, 0])
-    parent = make_result(ids, [1, 0, 0, 0, 0, 0, 0, 0])
-    assert delta_acc(candidate, parent) == 6
-
-
-def test_delta_acc_identity_and_antisymmetry():
-    ids = [f"i{k}" for k in range(8)]
-    a = make_result(ids, [1, 0, 1, 0, 1, 0, 1, 0])
-    b = make_result(ids, [0, 0, 1, 1, 0, 0, 1, 1])
-    assert delta_acc(a, a) == 0
-    assert delta_acc(a, b) == -delta_acc(b, a)
-
-
-def test_correct_count_sums_records_once(monkeypatch):
-    from vistaopt import evaluation
-
-    sums = []
-    monkeypatch.setattr(evaluation, "sum", lambda values: sums.append(1) or sum(values),
-                        raising=False)
-    result = make_result(["x", "y", "z"], [1, 0, 1])
-    assert result.correct_count == 2
-    assert delta_acc(result, result) == 0
-    assert result.correct_count == 2
-    assert len(sums) == 1
-
-
-def test_delta_acc_minibatch_mismatch():
-    a = make_result(["x", "y"], [1, 0])
-    b = make_result(["y", "x"], [1, 0])
-    with pytest.raises(MinibatchMismatchError):
-        delta_acc(a, b)
-
-
 # ---------------------------------------------------------------- failures
 
 def test_collect_failures_complement(dataset_50):
-    ids = [item.id for item in dataset_50.train[:8]]
-    result = make_result(ids, [1, 0, 0, 0, 0, 0, 0, 0])
-    failures = collect_failures(result, dataset_50)
+    items = dataset_50.train[:8]
+    records = make_records(items, [1, 0, 0, 0, 0, 0, 0, 0])
+    failures = collect_failures(items, records)
     assert len(failures) == 7
-    assert failures[0].question == dataset_50.item(ids[1]).question
+    assert failures[0] == (items[1], records[1])
+    assert failures[0][0].question == dataset_50.item(items[1].id).question
 
 
 def test_collect_failures_empty_on_perfect(dataset_50):
-    ids = [item.id for item in dataset_50.train[:8]]
-    result = make_result(ids, [1] * 8)
-    assert collect_failures(result, dataset_50) == []
+    items = dataset_50.train[:8]
+    assert collect_failures(items, make_records(items, [1] * 8)) == []
 
 
 def test_collect_failures_parse_errors(dataset_50):
-    ids = [item.id for item in dataset_50.train[:8]]
+    items = dataset_50.train[:8]
     records = tuple(
-        EvaluationRecord(item_id=i, raw_output="garbage", parse_error="NoObjectFound",
+        EvaluationRecord(item_id=item.id, raw_output="garbage", parse_error="NoObjectFound",
                          extracted_answer=None, score=0)
-        for i in ids
+        for item in items
     )
-    result = MinibatchResult(minibatch=tuple(ids), records=records)
-    failures = collect_failures(result, dataset_50)
+    failures = collect_failures(items, records)
     assert len(failures) == 8
-    assert all(f.parse_error == "NoObjectFound" for f in failures)
+    assert all(record.parse_error == "NoObjectFound" for _, record in failures)
 
 
 def test_record_invariant_enforced():
@@ -245,15 +162,15 @@ def test_evaluator_parallel_matches_sequential(world, dataset_50, taxonomy, defe
     backend = SyntheticBackend(world, dataset_50, taxonomy, run_seed=0)
     seq = Evaluator(backend, max_parallel=1)
     par = Evaluator(backend, max_parallel=4)
-    ids = [item.id for item in dataset_50.train[:8]]
-    a = seq.evaluate_batches([defective_seed], dataset_50, ids, charged=True)[0]
-    b = par.evaluate_batches([defective_seed], dataset_50, ids, charged=True)[0]
+    items = dataset_50.train[:8]
+    a = seq.evaluate([defective_seed], items, charged=True)[0]
+    b = par.evaluate([defective_seed], items, charged=True)[0]
     assert a == b
     assert seq.metric_calls == par.metric_calls == 8
 
     threads = set()
     pooled = Evaluator(ThreadRecordingBackend(backend, threads), max_parallel=4)
-    c = pooled.evaluate_batches([defective_seed], dataset_50, ids, charged=True)[0]
+    c = pooled.evaluate([defective_seed], items, charged=True)[0]
     assert c == a
     assert pooled.metric_calls == 8
     assert len(threads) > 1
@@ -270,18 +187,17 @@ def test_in_process_backend_runs_on_callers_thread(world, dataset_50, taxonomy, 
     backend = ThreadRecordingSynthetic(world, dataset_50, taxonomy, run_seed=0)
     backend.threads = set()
     ev = Evaluator(backend, max_parallel=4)
-    ids = [item.id for item in dataset_50.train[:8]]
-    ev.evaluate_batches([defective_seed, defective_seed + "\n"], dataset_50, ids, charged=True)
+    ev.evaluate([defective_seed, defective_seed + "\n"], dataset_50.train[:8], charged=True)
     assert backend.threads == {threading.get_ident()}
     assert ev.metric_calls == 16
 
 
 def test_evaluator_charged_vs_uncharged(synthetic_backend, dataset_50, defective_seed):
     ev = Evaluator(synthetic_backend, max_parallel=1)
-    ids = [item.id for item in dataset_50.train[:4]]
-    ev.evaluate_batches([defective_seed], dataset_50, ids, charged=False)
+    items = dataset_50.train[:4]
+    ev.evaluate([defective_seed], items, charged=False)
     assert (ev.metric_calls, ev.uncharged_calls) == (0, 4)
-    ev.evaluate_batches([defective_seed], dataset_50, ids, charged=True)
+    ev.evaluate([defective_seed], items, charged=True)
     assert (ev.metric_calls, ev.uncharged_calls) == (4, 4)
 
 
@@ -341,9 +257,8 @@ def test_memo_generates_each_distinct_pair_once_per_run(world, dataset_50, taxon
 def test_memo_one_dispatch_generates_repeated_pairs_once(world, dataset_50, taxonomy, defective_seed):
     backend = CountingSynthetic(world, dataset_50, taxonomy)
     ev = Evaluator(backend, max_parallel=4)
-    ids = [item.id for item in dataset_50.train[:8]]
-    first, second = ev.evaluate_batches([defective_seed, defective_seed], dataset_50, ids,
-                                        charged=True)
+    first, second = ev.evaluate([defective_seed, defective_seed], dataset_50.train[:8],
+                                charged=True)
     assert first == second
     assert backend.base_calls == 8
     assert ev.metric_calls == 16
@@ -364,12 +279,12 @@ def test_memo_key_is_the_whole_item(world, dataset_50, taxonomy, repaired_seed):
              build(question=other.question)]
     backend = CountingSynthetic(world, dataset_50, taxonomy)
     ev = Evaluator(backend)
-    records = ev.evaluate_items(repaired_seed, items, charged=False)
+    (records,) = ev.evaluate([repaired_seed], items, charged=False)
     assert [r.score for r in records] == [1, 1, 0, 1, 0]
     assert records[0] is records[1]
     assert len(ev._memo) == backend.base_calls == 4
     # A prompt with the same features gets the same raw output: one score record.
-    again = ev.evaluate_items(repaired_seed + "\n", items[:1], charged=False)
+    (again,) = ev.evaluate([repaired_seed + "\n"], items[:1], charged=False)
     assert again[0] is records[0] and backend.base_calls == 5
 
 
@@ -405,9 +320,9 @@ def test_pickled_item_hashes_like_a_fresh_one_in_another_process(tmp_path):
 def test_no_memo_without_deterministic(world, dataset_50, taxonomy, defective_seed):
     backend = ForwardingBackend(SyntheticBackend(world, dataset_50, taxonomy, run_seed=0))
     ev = Evaluator(backend, max_parallel=1)
-    ids = [item.id for item in dataset_50.train[:8]]
-    a = ev.evaluate_batches([defective_seed, defective_seed], dataset_50, ids, charged=True)
-    b = ev.evaluate_batches([defective_seed], dataset_50, ids, charged=False)
+    items = dataset_50.train[:8]
+    a = ev.evaluate([defective_seed, defective_seed], items, charged=True)
+    b = ev.evaluate([defective_seed], items, charged=False)
     assert a[0] == a[1] == b[0]
     assert backend.calls == 24
     assert (ev.metric_calls, ev.uncharged_calls) == (16, 8)
@@ -434,9 +349,9 @@ def test_role_router_memoized_exactly_when_its_base_backend_is(world, dataset_50
 
     def evaluate_twice(router):
         ev = Evaluator(router, max_parallel=2)
-        ids = [item.id for item in dataset_50.train[:8]]
-        a = ev.evaluate_batches([defective_seed, defective_seed], dataset_50, ids, charged=True)
-        b = ev.evaluate_batches([defective_seed], dataset_50, ids, charged=False)
+        items = dataset_50.train[:8]
+        a = ev.evaluate([defective_seed, defective_seed], items, charged=True)
+        b = ev.evaluate([defective_seed], items, charged=False)
         assert a[0] == a[1] == b[0]
         assert (ev.metric_calls, ev.uncharged_calls) == (16, 8)
 
@@ -456,10 +371,10 @@ def test_memo_failed_dispatch_changes_no_counter_or_record(world, dataset_50, ta
     backend = CountingSynthetic(world, dataset_50, taxonomy, fail_at=7)
     ev = Evaluator(backend, max_parallel=1)
     items = list(dataset_50.train[:8])
-    ev.evaluate_items(defective_seed, items[:4], charged=True)
+    ev.evaluate([defective_seed], items[:4], charged=True)
     before = dict(ev._memo)
     with pytest.raises(RuntimeError, match="injected"):
-        ev.evaluate_items(defective_seed, items, charged=False)
+        ev.evaluate([defective_seed], items, charged=False)
     assert backend.base_calls == 6
     assert (ev.metric_calls, ev.uncharged_calls) == (4, 0)
     assert ev._memo == before

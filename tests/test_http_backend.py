@@ -326,8 +326,8 @@ def check_pooled_generations_reuse_connections(**stub_options):
     with StubServer([(200, completion('{"final_answer": "1"}'))], delay=0.002,
                     keep_alive=True, **stub_options) as stub:
         backend = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
-        records = Evaluator(backend, max_parallel=2).evaluate_items("system prompt", items,
-                                                                    charged=True)
+        (records,) = Evaluator(backend, max_parallel=2).evaluate(["system prompt"], items,
+                                                                 charged=True)
         backend.close()
     assert len(records) == len(stub.requests) == 40
     assert 1 <= stub.connections <= 2
@@ -549,7 +549,7 @@ def test_max_parallel_is_the_one_concurrency_limit():
     with StubServer([(200, completion('{"final_answer": "1"}'))], delay=0.02) as stub:
         evaluator = Evaluator(HttpBackend(base_url=stub.base_url, backoff_base=0.0),
                               max_parallel=2)
-        records = evaluator.evaluate_items("system prompt", items, charged=True)
+        (records,) = evaluator.evaluate(["system prompt"], items, charged=True)
     assert [r.item_id for r in records] == [item.id for item in items]
     assert len(stub.requests) == 8
     assert stub.in_flight_max == 2

@@ -8,7 +8,7 @@ import pytest
 
 from test_domain import check_candidate_invariants
 
-from vistaopt import agents, evaluation, optimizer
+from vistaopt import agents, optimizer
 from vistaopt.backends.base import RoleRouter
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy
@@ -235,6 +235,34 @@ def test_branch_sequence_matches_rng_replay(dataset_50, taxonomy):
             assert outcome.branch in (BRANCH_HYPOTHESES, BRANCH_FALLBACK, BRANCH_SKIPPED)
 
 
+def test_minibatches_replay_their_stream_and_gains_subtract_the_parent(dataset_50, taxonomy,
+                                                                        defective_seed):
+    """Each round draws its minibatch as the next ``sample`` of the train ids
+    from the run's minibatch stream, and a proposal's gain is its correct
+    count minus the parent's count on that minibatch."""
+    config = RunConfig(rng_seed=5, p=0.2, budget=500, max_parallel=1)
+    backend = SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 5)
+    result = run(config, dataset_50, taxonomy, backend, defective_seed)
+    train_ids = [item.id for item in dataset_50.train]
+    replay = random.Random(f"{config.rng_seed}/minibatch")
+    scorer = Evaluator(backend)
+    branches, gains = set(), set()
+    for outcome in result.outcomes:
+        assert list(outcome.minibatch) == replay.sample(train_ids, config.b), outcome.iteration
+        texts = [result.candidates[outcome.parent_id].text]
+        texts += [result.candidates[p.candidate_id].text for p in outcome.proposals]
+        items = [dataset_50.item(i) for i in outcome.minibatch]
+        parent, *proposals = [sum(r.score for r in records)
+                              for records in scorer.evaluate(texts, items, charged=False)]
+        for proposal, correct in zip(outcome.proposals, proposals):
+            assert proposal.correct_count == correct
+            assert proposal.delta_minibatch == correct - parent
+            gains.add((parent > 0, proposal.delta_minibatch > 0))
+        branches.add(outcome.branch)
+    assert {BRANCH_HYPOTHESES, BRANCH_RESTART} <= branches
+    assert {(True, True), (True, False)} <= gains, gains
+
+
 # ----------------------------------------------------------- budget rules
 
 def test_budget_zero_returns_seed(dataset_50, taxonomy, defective_seed):
@@ -320,14 +348,14 @@ def test_pool_and_best_gates_are_independent(small_dataset):
     assert engine.candidates[0].val_scores == (1, 0, 0, 0, 0, 0)
     # Against a baseline that gets every validation item wrong, each marked
     # prompt has a positive gain on a validation-item minibatch, so it wins.
-    minibatch = [item.id for item in small_dataset.val]
-    baseline = engine.evaluator.evaluate_batches(
-        ["NONE prompt"], small_dataset, minibatch, charged=False)[0]
+    items = small_dataset.val
+    (baseline,) = engine.evaluator.evaluate(["NONE prompt"], items, charged=False)
 
     def gate(marker):
         outcome = RoundOutcome(iteration=1, branch=BRANCH_FALLBACK, parent_id=0,
-                               minibatch=tuple(minibatch))
-        engine._verify(outcome, baseline, [(0, UNLABELED, "fallback", f"{marker} prompt")])
+                               minibatch=tuple(item.id for item in items))
+        engine._verify(outcome, items, sum(r.score for r in baseline),
+                       [(0, UNLABELED, "fallback", f"{marker} prompt")])
         engine._apply(outcome)
         return outcome, engine.candidates[outcome.winner]
 
@@ -617,27 +645,27 @@ def test_short_hypothesis_reply_charges_only_metered_calls(dataset_50, taxonomy,
 @pytest.mark.parametrize("mode", ["vista", "baseline"])
 def test_each_agent_input_is_built_once(mode, dataset_50, taxonomy, defective_seed, monkeypatch):
     """The taxonomy block is rendered once per run, the failure block once per
-    round for all of its agents, and each minibatch result sums its records
-    once however often its count is read."""
-    rendered, formatted, summed, results = [], [], [], []
+    round for all of its agents, and each prompt a round scores has its
+    records summed once: the parent's, each proposal's and the winner's."""
+    rendered, formatted, summed, scored = [], [], [], []
     monkeypatch.setattr(optimizer, "render_taxonomy",
                         lambda *a: rendered.append(1) or agents.render_taxonomy(*a))
     monkeypatch.setattr(optimizer, "format_failures",
                         lambda *a, **kw: formatted.append(1) or agents.format_failures(*a, **kw))
-    monkeypatch.setattr(evaluation, "sum", lambda values: summed.append(1) or sum(values),
+    monkeypatch.setattr(optimizer, "sum", lambda values: summed.append(1) or sum(values),
                         raising=False)
-    evaluate_batches = Evaluator.evaluate_batches
+    evaluate = Evaluator.evaluate
 
-    def recording_batches(*args, **kwargs):
-        batch = evaluate_batches(*args, **kwargs)
-        results.extend(batch)
-        return batch
+    def recording_evaluate(self, prompt_texts, items, **kwargs):
+        scored.extend(prompt_texts)
+        return evaluate(self, prompt_texts, items, **kwargs)
 
-    monkeypatch.setattr(Evaluator, "evaluate_batches", recording_batches)
+    monkeypatch.setattr(Evaluator, "evaluate", recording_evaluate)
     config = RunConfig(rng_seed=0, budget=300, p=0.0, mode=mode, max_parallel=1)
     engine = OptimizationRun(config, dataset_50, taxonomy,
                              SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 0),
                              defective_seed)
+    scored.clear()  # the seed's validation pass sums nothing in the optimizer
     branches = set()
     iteration = 0
     while engine.ledger.remaining > 0:
@@ -649,7 +677,7 @@ def test_each_agent_input_is_built_once(mode, dataset_50, taxonomy, defective_se
         assert len(formatted) == 1, (iteration, outcome.branch)
     assert branches >= ({BRANCH_FALLBACK} if mode == "baseline" else {BRANCH_HYPOTHESES})
     assert len(rendered) == 1
-    assert summed and len(summed) == len([r for r in results if "correct_count" in vars(r)])
+    assert summed and len(summed) == len(scored)
 
 
 def test_restart_lookahead_cap_reached_charges_single_probe(small_dataset):

@@ -20,6 +20,17 @@ from vistaopt.reports import (
 from vistaopt.trace import SemanticTraceTree, TraceEdge, TraceNode
 
 
+def check_invariants(bundle):
+    """The best curve's metric calls strictly increase and its best accuracy
+    never falls."""
+    calls = [c for c, _ in bundle.best_curve]
+    accs = [a for _, a in bundle.best_curve]
+    if any(b <= a for a, b in zip(calls, calls[1:])):
+        raise AssertionError("metric calls must strictly increase")
+    if any(b < a for a, b in zip(accs, accs[1:])):
+        raise AssertionError("best accuracy must be non-decreasing")
+
+
 def oscillating_tree():
     tree = SemanticTraceTree.with_root(TraceNode(id=0, val_accuracy=0.3))
     labels = ["A", "B", "A", "B"]
@@ -109,7 +120,7 @@ def test_best_curve_starts_at_seed_and_tracks_ledger(run_dir):
 
 def test_build_report_bundle_invariants(run_dir, taxonomy):
     bundle = build_report(run_dir, taxonomy)
-    bundle.check_invariants()
+    check_invariants(bundle)
     assert bundle.attribution_histogram["cot_field_ordering"]["accepted"] >= 1
 
 
@@ -125,10 +136,10 @@ def test_build_report_parses_the_trace_once(run_dir, taxonomy, monkeypatch):
 def test_report_bundle_invariant_violations_detected():
     bad = ReportBundle(best_curve=[(0, 0.5), (10, 0.4)], attribution_histogram={})
     with pytest.raises(AssertionError):
-        bad.check_invariants()
+        check_invariants(bad)
     stuck = ReportBundle(best_curve=[(5, 0.5), (5, 0.6)], attribution_histogram={})
     with pytest.raises(AssertionError):
-        stuck.check_invariants()
+        check_invariants(stuck)
 
 
 @pytest.mark.parametrize("missing", ["ledger.json", "rounds.jsonl"])

@@ -263,6 +263,57 @@ def test_export_import_round_trip_randomized():
         assert import_tree(export_tree(tree, "json")) == tree
 
 
+def edit_edge(index, **change):
+    return lambda data: data["edges"][index].update(change)
+
+
+def add_node_from_rejected(data):
+    data["nodes"].append({**data["nodes"][1], "id": 3})
+    data["edges"].append({**data["edges"][0], "from": 2, "to": 3, "iteration": 3})
+
+
+BROKEN_TRACES = {
+    "unknown parent": (edit_edge(1, **{"from": 12345}), r"edge 1: UnknownParentError"),
+    "rejected parent": (add_node_from_rejected, r"edge 2: UnknownParentError.*rejected"),
+    "duplicate node": (edit_edge(1, to=1), r"edge 1: DuplicateNodeError"),
+    "edge into the root": (edit_edge(0, to=0), r"edge 0: DuplicateNodeError"),
+    "target not a node": (edit_edge(1, to=7), r"edge 1: ValueError: target 7"),
+    "missing key": (lambda data: data["edges"][0].pop("label"), r"edge 0: KeyError"),
+    "edge not an object": (lambda data: data["edges"].insert(0, 1), r"edge 0: TypeError"),
+    "from a string": (edit_edge(0, **{"from": "0"}), r"edge 0: TypeError"),
+    "to a float": (edit_edge(0, to=1.0), r"edge 0: TypeError"),
+    "iteration a bool": (edit_edge(0, iteration=True), r"edge 0: TypeError"),
+    "delta_minibatch a string": (edit_edge(0, delta_minibatch="1"), r"edge 0: TypeError"),
+    "label not a string": (edit_edge(0, label=None), r"edge 0: TypeError"),
+    "origin not a string": (edit_edge(0, origin=1), r"edge 0: TypeError"),
+    "unknown status": (edit_edge(1, status="maybe"), r"edge 1: ValueError: status 'maybe'"),
+    "delta_val_pp a string": (edit_edge(0, delta_val_pp="x"), r"edge 0: TypeError"),
+    "delta_val_pp a bool": (edit_edge(0, delta_val_pp=True), r"edge 0: TypeError"),
+    "accepted without delta_val_pp": (edit_edge(0, delta_val_pp=None),
+                                      r"edge 0: ValueError: accepted edges"),
+    "node no edge creates": (lambda data: data["nodes"].append({"id": 9}),
+                             r"created by no edge: \[9\]"),
+    "node listed twice": (lambda data: data["nodes"].append(data["nodes"][1]),
+                          r"listed twice"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_TRACES)
+def test_import_rejects_what_a_run_cannot_record(case):
+    """Import rebuilds the tree through ``record_proposal``, so it enforces the
+    invariants of a live run, and checks each edge value's exact type."""
+    tree = seed_tree()
+    tree.record_proposal(edge(0, 1, "cot_field_ordering", pp=48.0), node(1, val=0.78))
+    tree.record_proposal(edge(0, 2, "task_instruction_clarity", status=REJECTED),
+                         node(2, correct=2))
+    data = tree.to_dict()
+    assert SemanticTraceTree.from_dict(data) == tree
+    edit, message = BROKEN_TRACES[case]
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        SemanticTraceTree.from_dict(data)
+
+
 def test_export_dot_root_only():
     dot = export_tree(seed_tree(), "dot")
     assert dot.count("->") == 0

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from vistaopt.backends.synthetic import SyntheticBackend
+from vistaopt import optimizer
+from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig
+from vistaopt.domain import UNLABELED, RunConfig
 from vistaopt.evaluation import (
     EvaluationRecord,
     Evaluator,
@@ -13,6 +15,8 @@ from vistaopt.evaluation import (
     normalize_answer,
     score_output,
 )
+from vistaopt.optimizer import BRANCH_FALLBACK, OptimizationRun, RoundOutcome
+from vistaopt.optimizer import run as optimizer_run
 
 
 def make_records(items, scores):
@@ -123,6 +127,90 @@ def test_collect_failures_parse_errors(dataset_50):
     failures = collect_failures(items, records)
     assert len(failures) == 8
     assert all(record.parse_error == "NoObjectFound" for _, record in failures)
+
+
+# ------------------------------------------------- round minibatch sampling
+
+def make_engine(dataset, taxonomy, seed_prompt, **overrides):
+    config = RunConfig(max_parallel=1, **{"rng_seed": 0, **overrides})
+    backend = SyntheticBackend(SyntheticWorldConfig(), dataset, taxonomy, config.rng_seed)
+    return OptimizationRun(config, dataset, taxonomy, backend, seed_prompt)
+
+
+def test_sample_full_permutation(dataset_50, taxonomy, defective_seed):
+    engine = make_engine(dataset_50, taxonomy, defective_seed, rng_seed=1,
+                         b=len(dataset_50.train))
+    outcome = engine.step_round(1)
+    assert sorted(outcome.minibatch) == sorted(item.id for item in dataset_50.train)
+
+
+def test_sample_deterministic_with_seed(dataset_50, taxonomy, defective_seed):
+    a, b = (optimizer_run(RunConfig(rng_seed=5, budget=300, max_parallel=1), dataset_50,
+                          taxonomy, SyntheticBackend(SyntheticWorldConfig(), dataset_50,
+                                                     taxonomy, 5), defective_seed)
+            for _ in range(2))
+    assert len(a.outcomes) > 1
+    assert [o.minibatch for o in a.outcomes] == [o.minibatch for o in b.outcomes]
+
+
+def test_sample_distinct_ids(dataset_50, taxonomy, defective_seed):
+    engine = make_engine(dataset_50, taxonomy, defective_seed)
+    train_ids = {item.id for item in dataset_50.train}
+    for iteration in range(1, 4):
+        ids = engine.step_round(iteration).minibatch
+        assert len(ids) == engine.config.b and len(set(ids)) == engine.config.b
+        assert set(ids) <= train_ids
+
+
+# ------------------------------------------------------- minibatch gains
+
+def verify_rows(engine, items, parent_correct, rows):
+    """Run ``_verify`` on one proposal per score row, with the evaluator
+    replaced by one that returns ``rows`` on the minibatch and zeros on the
+    validation set; returns the proposal records."""
+    def evaluate(texts, scored_items, *, charged):
+        if scored_items is items:
+            return [make_records(items, rows[int(text)]) for text in texts]
+        return [make_records(scored_items, [0] * len(scored_items)) for _ in texts]
+
+    engine.evaluator.evaluate = evaluate
+    outcome = RoundOutcome(iteration=1, branch=BRANCH_FALLBACK, parent_id=0,
+                           minibatch=tuple(item.id for item in items))
+    slots = [(k, UNLABELED, "fallback", str(k)) for k in range(len(rows))]
+    engine._verify(outcome, items, parent_correct, slots)
+    return outcome.proposals
+
+
+def test_delta_acc_from_counts(dataset_50, taxonomy, defective_seed):
+    engine = make_engine(dataset_50, taxonomy, defective_seed)
+    items = dataset_50.train[:8]
+    (proposal,) = verify_rows(engine, items, 1, [[1, 1, 1, 1, 1, 1, 1, 0]])
+    assert (proposal.correct_count, proposal.delta_minibatch) == (7, 6)
+
+
+def test_delta_acc_identity_and_antisymmetry(dataset_50, taxonomy, defective_seed):
+    engine = make_engine(dataset_50, taxonomy, defective_seed)
+    items = dataset_50.train[:8]
+    a = [1, 0, 1, 0, 1, 0, 1, 0]
+    b = [0, 0, 1, 1, 0, 0, 1, 0]
+    (same,) = verify_rows(engine, items, sum(a), [a])
+    assert same.delta_minibatch == 0
+    (a_over_b,) = verify_rows(engine, items, sum(b), [a])
+    (b_over_a,) = verify_rows(engine, items, sum(a), [b])
+    assert a_over_b.delta_minibatch == -b_over_a.delta_minibatch == 1
+
+
+def test_correct_count_sums_records_once(dataset_50, taxonomy, defective_seed, monkeypatch):
+    engine = make_engine(dataset_50, taxonomy, defective_seed)
+    sums = []
+    monkeypatch.setattr(optimizer, "sum", lambda values: sums.append(1) or sum(values),
+                        raising=False)
+    items = dataset_50.train[:3]
+    proposals = verify_rows(engine, items, 1, [[1, 0, 1], [0, 0, 0], [1, 0, 0]])
+    assert [p.correct_count for p in proposals] == [2, 0, 1]
+    assert [p.delta_minibatch for p in proposals] == [1, -1, 0]
+    # one sum per proposal on the minibatch, one for the winner's validation
+    assert len(sums) == len(proposals) + 1
 
 
 def test_record_invariant_enforced():

@@ -32,7 +32,7 @@ from urllib.parse import urlsplit
 
 import requests
 
-from ..domain import Range, check_config
+from ..domain import Range
 from ..errors import InvalidConfigError, TransportFailureError
 from .base import QWEN_BASE_SAMPLING, GenerationRequest
 
@@ -109,11 +109,6 @@ class HttpBackend:
                 self._tunnel = url.hostname, url.port or 443, adapter.proxy_headers(proxy)
         elif proxy:  # the target in absolute form, with the proxy's credentials
             self._headers.update(adapter.proxy_headers(proxy))
-
-    @classmethod
-    def from_config(cls, section: dict) -> "HttpBackend":
-        """Build from a config's ``http`` section, checked against ``__init__``."""
-        return cls(**check_config(section, [("", cls.__init__)])[0])
 
     def _body(self, request: GenerationRequest) -> dict:
         model = self.role_models.get(request.role, self.model)

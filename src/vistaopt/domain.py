@@ -20,8 +20,6 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Annotated, Mapping, Union, get_args, get_origin, get_type_hints
 
-import yaml
-
 from .errors import (
     DuplicateIdError,
     EmptyTaxonomyError,
@@ -135,13 +133,22 @@ class Taxonomy:
 def load_taxonomy(source: str) -> Taxonomy:
     """Parse a structured list of ``{id, name, description}`` records.
 
-    Accepts YAML text (the shipped format); order is preserved and
-    duplicate ids are rejected.
+    Accepts JSON text (the shipped format) or, with PyYAML installed (the
+    ``vistaopt[yaml]`` extra), YAML text; order is preserved and duplicate
+    ids are rejected.
     """
     try:
-        records = yaml.safe_load(source)
-    except yaml.YAMLError as exc:
-        raise MalformedRecordError(f"taxonomy does not parse: {exc}") from exc
+        records = json.loads(source) if source.strip() else None
+    except ValueError:
+        try:
+            import yaml
+        except ImportError as exc:
+            raise InvalidConfigError(["taxonomy is not JSON, and reading it as YAML needs "
+                                      "PyYAML: pip install 'vistaopt[yaml]'"]) from exc
+        try:
+            records = yaml.safe_load(source)
+        except yaml.YAMLError as exc:
+            raise MalformedRecordError(f"taxonomy does not parse: {exc}") from exc
     if records is None or records == []:
         raise EmptyTaxonomyError("taxonomy source is empty")
     if not isinstance(records, list):
@@ -170,7 +177,7 @@ def load_taxonomy_path(taxonomy_path: str | Path | None = None) -> Taxonomy:
 
 @functools.cache
 def default_taxonomy() -> Taxonomy:
-    text = resources.files("vistaopt.data").joinpath("taxonomy.yaml").read_text(encoding="utf-8")
+    text = resources.files("vistaopt.data").joinpath("taxonomy.json").read_text(encoding="utf-8")
     return load_taxonomy(text)
 
 

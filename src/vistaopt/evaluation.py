@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Sequence
@@ -138,6 +137,7 @@ def generate_in_order(backend: Backend, requests: Sequence[GenerationRequest],
     generated concurrently up to ``max_parallel``, or serially when the role's
     backend declares ``in_process``, where threads cost more than the work."""
     if max_parallel > 1 and len(requests) > 1 and not declared(backend, "in_process", requests[0].role):
+        from concurrent.futures import ThreadPoolExecutor  # never loaded for in_process roles
         with ThreadPoolExecutor(max_workers=max_parallel) as pool:
             return list(pool.map(backend.generate, requests))
     return [backend.generate(request) for request in requests]

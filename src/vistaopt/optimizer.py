@@ -443,10 +443,10 @@ class OptimizationRun:
             outcome.log.append("Restart look-ahead cap is 0; branch skipped.")
             return
 
-        # Blank-prompt look-ahead: run one training item, hand the raw
-        # output to the reflection agent conditioned on nothing, and repeat
-        # until the output parses cleanly.  Only the first probe is metered;
-        # the loop length is logged.
+        # Look-ahead: probe the parent's prompt on one training item; the
+        # reflection agent, shown a blank prompt and only the raw output and
+        # parse error, writes the prompt the next probe runs, until a probe
+        # parses cleanly.  Only the first probe is metered; the loop length is logged.
         current = parent.text
         restart_text: str | None = None
         clean = False

@@ -49,20 +49,28 @@ def load_trace(run_dir: str | Path) -> SemanticTraceTree:
 
 
 def build_best_curve(run_dir: Path, trace: SemanticTraceTree) -> list[tuple[int, float]]:
-    """The curve from the run's ledger and journal, and ``trace``, its parsed
+    """The curve from the run's journal, whose rounds' (iteration, branch,
+    charge) must be the ledger's charges in order, and ``trace``, its parsed
     ``trace.json``."""
-    def charge(c: dict) -> tuple[int, int]:
+    def charge(c: dict) -> tuple[int, str, int]:
         if _typed(c["amount"], int) < 0:
             raise ValueError(f"charge amount {c['amount']} is negative")
-        return _typed(c["iteration"], int), c["amount"]
+        return _typed(c["iteration"], int), _typed(c["branch"], str), c["amount"]
 
     charges = read_artifact(run_dir, "ledger.json",
-                            lambda text: dict(map(charge, json.loads(text)["charges"])))
+                            lambda text: [charge(c) for c in json.loads(text)["charges"]])
     # The journal's lines are in iteration order.
     outcomes = read_artifact(run_dir, "rounds.jsonl", lambda text: [
-        (_typed(o["iteration"], int), _typed(o["best_updated"], bool),
-         _typed(o["winner"], int, type(None)))
+        (_typed(o["iteration"], int), _typed(o["branch"], str), _typed(o["charge"], int),
+         _typed(o["best_updated"], bool), _typed(o["winner"], int, type(None)))
         for o in map(json.loads, text.splitlines())])
+    rounds = [outcome[:3] for outcome in outcomes]
+    if charges != rounds:
+        at, ledger, journal = next((at, c, r) for at, (c, r) in enumerate(
+            zip(charges + ["nothing"], rounds + ["nothing"])) if c != r)
+        raise MissingArtifactsError(
+            f"ledger.json in {run_dir} does not match rounds.jsonl: (iteration, branch, charge) "
+            f"number {at + 1} is {ledger} in the ledger but {journal} in the journal")
 
     seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
     best = seed_accuracy
@@ -72,8 +80,7 @@ def build_best_curve(run_dir: Path, trace: SemanticTraceTree) -> list[tuple[int,
         nid: node.val_accuracy for nid, node in trace.nodes.items()
         if node.val_accuracy is not None
     }
-    for iteration, best_updated, winner in outcomes:
-        amount = charges.get(iteration, 0)
+    for _iteration, _branch, amount, best_updated, winner in outcomes:
         if amount == 0:
             continue
         calls += amount

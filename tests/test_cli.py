@@ -282,6 +282,35 @@ def test_malformed_run_file_exits_missing_artifacts(command, name, content, conf
     assert not (out / "report.csv").exists()
 
 
+def appended_charge(text):
+    """A second iteration-1 charge of 999 appended to a ``ledger.json``."""
+    data = json.loads(text)
+    data["charges"].append({**data["charges"][0], "amount": 999})
+    return json.dumps(data)
+
+
+def first_charge_plus_one(text):
+    data = json.loads(text)
+    data["charges"][0]["amount"] += 1
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("ledger.json", appended_charge), ("ledger.json", first_charge_plus_one),
+    ("rounds.jsonl", first_record(None, "charge", 999))], ids=lambda e: getattr(e, "__name__", e))
+def test_report_rejects_a_ledger_that_is_not_the_journals_charges(name, edit, config_file,
+                                                                   tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["optimize", str(config_file), "defective", str(out), "--seed", "1"]) == EXIT_OK
+    (out / name).write_text(edit((out / name).read_text()), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_MISSING_ARTIFACTS
+    err = capsys.readouterr().err
+    assert err.startswith("missing artifacts:") and "Traceback" not in err
+    assert "ledger.json" in err and "rounds.jsonl" in err
+    assert not (out / "report.csv").exists()
+
+
 def test_every_row_of_the_exit_table_can_be_reached():
     for index, (classes, _, _) in enumerate(ERROR_EXITS):
         earlier = tuple(cls for row in ERROR_EXITS[:index] for cls in row[0])

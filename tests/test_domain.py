@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -33,9 +34,12 @@ def test_default_taxonomy_shape(taxonomy):
     assert taxonomy.ids[-1] == "unclassified_custom"
 
 
-def test_load_taxonomy_empty():
+def test_load_taxonomy_empty(monkeypatch):
     with pytest.raises(EmptyTaxonomyError):
         load_taxonomy("[]")
+    monkeypatch.setitem(sys.modules, "yaml", None)  # blank text is empty, not YAML
+    with pytest.raises(EmptyTaxonomyError):
+        load_taxonomy(" \n")
 
 
 def test_load_taxonomy_duplicate_ids():
@@ -56,15 +60,18 @@ def test_load_taxonomy_malformed_record():
         load_taxonomy("- id: a\n  name: missing description\n")
 
 
-def serialize_taxonomy(taxonomy):
+def test_taxonomy_round_trip(taxonomy, tmp_path):
+    """The shipped JSON taxonomy, written out as a YAML file, loads back equal."""
     records = [{"id": e.id, "name": e.name, "description": e.description}
                for e in taxonomy.entries]
-    return yaml.safe_dump(records, sort_keys=False)
+    (tmp_path / "tax.yaml").write_text(yaml.safe_dump(records, sort_keys=False))
+    assert load_taxonomy_path(tmp_path / "tax.yaml") == taxonomy
 
 
-def test_taxonomy_round_trip(taxonomy):
-    reparsed = load_taxonomy(serialize_taxonomy(taxonomy))
-    assert reparsed == taxonomy
+@pytest.mark.parametrize("source", ["[{", "- id: a\n  name: [unclosed\n"])
+def test_load_taxonomy_neither_json_nor_yaml(source):
+    with pytest.raises(MalformedRecordError, match="does not parse"):
+        load_taxonomy(source)
 
 
 def test_default_taxonomy_is_parsed_once():
@@ -72,7 +79,7 @@ def test_default_taxonomy_is_parsed_once():
 
 
 def test_load_taxonomy_path_returns_a_separate_equal_taxonomy():
-    with resources.as_file(resources.files("vistaopt.data") / "taxonomy.yaml") as path:
+    with resources.as_file(resources.files("vistaopt.data") / "taxonomy.json") as path:
         loaded = load_taxonomy_path(path)
     assert loaded == default_taxonomy()
     assert loaded is not default_taxonomy()

@@ -19,7 +19,7 @@ from vistaopt.backends.base import GenerationRequest, RoleRouter
 from vistaopt.backends.http import HttpBackend
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.cli import EXIT_IO_FAILURE, EXIT_OK, EXIT_TRANSPORT_FAILURE, main
-from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt
+from vistaopt.domain import RunConfig, check_config, default_taxonomy, load_seed_prompt
 from vistaopt.errors import InvalidConfigError, TransportFailureError
 from vistaopt.evaluation import Evaluator
 from vistaopt.optimizer import run
@@ -562,9 +562,11 @@ def test_max_in_flight_is_deprecated_and_ignored():
             plain = HttpBackend(base_url=stub.base_url, backoff_base=0.0)
         with pytest.warns(DeprecationWarning) as by_keyword:
             keyword = HttpBackend(base_url=stub.base_url, backoff_base=0.0, max_in_flight=2)
-        with pytest.warns(DeprecationWarning) as by_config:
-            configured = HttpBackend.from_config(
-                {"base_url": stub.base_url, "backoff_base": 0.0, "max_in_flight": 2})
+        with pytest.warns(DeprecationWarning) as by_config:  # built as the CLI builds it
+            (args,) = check_config(
+                {"base_url": stub.base_url, "backoff_base": 0.0, "max_in_flight": 2},
+                [("", HttpBackend.__init__)])
+            configured = HttpBackend(**args)
         for record in (by_keyword, by_config):
             assert [w.category for w in record] == [DeprecationWarning]
             assert "max_in_flight" in str(record[0].message)

@@ -3,17 +3,20 @@ parsing of hypothesis-agent responses.
 
 Template bodies ship as data files; the literal ``{taxonomy_id}`` markers
 inside the response-format scaffold are part of the instructions shown to
-the agent and survive rendering untouched.  The renderers only fill
-templates: the caller builds each block once, where its value is fixed
-(``render_taxonomy`` once per run, ``format_failures`` once per round), and
-passes it in as text.
+the agent and survive rendering untouched.  A template splits its body on
+its placeholders once, when it is built, and keeps each hypothesis variant
+(K blocks, with or without the history section) it has rendered, so a render
+is a join.  The renderers only fill templates: the caller builds each block
+once, where its value is fixed (``render_taxonomy`` once per run,
+``format_failures`` once per round), and passes it in as text.  The parser
+reads a reply's fields in one pass over each block.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -32,12 +35,10 @@ REFLECTION_PLACEHOLDERS = frozenset(
 RAW_OUTPUT_LIMIT = 2000
 TRUNCATION_MARK = " ...[truncated]"
 
-_HEADER_RE = re.compile(r"^\[HYPOTHESIS (\d+)\]\s*$", re.MULTILINE)
+# Starts with a literal, so ``re`` scans for it; the caller checks the line start.
+_HEADER_RE = re.compile(r"\[HYPOTHESIS \d+\]\s*$", re.MULTILINE)
 _BLOCK_SCAFFOLD_RE = re.compile(
     r"\[HYPOTHESIS \d+\]\nTAG: \{taxonomy_id\}\nDESCRIPTION: <[^>\n]*>\nFIX: <[^>\n]*>")
-_TAG_RE = re.compile(r"^TAG:[ \t]*(.+)$", re.MULTILINE)
-_DESCRIPTION_RE = re.compile(r"^DESCRIPTION:[ \t]*(.+)$", re.MULTILINE)
-_FIX_RE = re.compile(r"^FIX:[ \t]*(.+)$", re.MULTILINE)
 _PLACEHOLDER_RES = {names: re.compile(r"\{(" + "|".join(sorted(names)) + r")\}")
                     for names in (HYPOTHESIS_PLACEHOLDERS, REFLECTION_PLACEHOLDERS)}
 
@@ -46,15 +47,21 @@ _PLACEHOLDER_RES = {names: re.compile(r"\{(" + "|".join(sorted(names)) + r")\}")
 class PromptTemplate:
     name: str  # hypothesis | reflection
     body: str
+    # The body split on its placeholders (names at odd indices); hypothesis variants.
+    _parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _variants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_parts", tuple(_PLACEHOLDER_RES[self.placeholders].split(self.body)))
 
     @property
     def placeholders(self) -> frozenset[str]:
         return HYPOTHESIS_PLACEHOLDERS if self.name == "hypothesis" else REFLECTION_PLACEHOLDERS
 
     def render(self, bindings: dict[str, str]) -> str:
-        """One pass over the body substitutes its declared placeholders, never
-        bound text; anything else in braces is literal template text."""
-        parts = _PLACEHOLDER_RES[self.placeholders].split(self.body)
+        """Substitutes the declared placeholders of the body, never bound text;
+        anything else in braces is literal template text."""
+        parts = list(self._parts)
         for name in parts[1::2]:
             if name not in bindings:
                 raise MissingBindingError(f"template {self.name}: no binding for {name!r}")
@@ -127,19 +134,20 @@ def render_hypothesis_prompt(
 ) -> str:
     if k < 1:
         raise ValueError("k must be >= 1")
-    body = _reshape_blocks(template.body, k)
     history = trajectory_context_block(trajectory)
-    if history:
-        # The trajectory is context for the agent; the shipped scaffold has
-        # no placeholder for it, so a section is spliced in after the
-        # current prompt.
-        body = body.replace(
-            "{curr_instructions}\n\nERROR TAXONOMY:",
-            "{curr_instructions}\n\nOPTIMIZATION HISTORY:\n{optimization_history}\n\nERROR TAXONOMY:",
-            1,
-        )
-    template = PromptTemplate(name=template.name, body=body)
-    return template.render(
+    variant = template._variants.get((k, bool(history)))
+    if variant is None:
+        body = _reshape_blocks(template.body, k)
+        if history:
+            # The trajectory is context for the agent; the shipped scaffold has no
+            # placeholder for it, so a section is spliced in after the current prompt.
+            body = body.replace(
+                "{curr_instructions}\n\nERROR TAXONOMY:",
+                "{curr_instructions}\n\nOPTIMIZATION HISTORY:\n{optimization_history}\n\nERROR TAXONOMY:",
+                1,
+            )
+        variant = template._variants[k, bool(history)] = PromptTemplate(template.name, body)
+    return variant.render(
         {
             "curr_instructions": current_prompt,
             "error_taxonomy": taxonomy_block,
@@ -181,25 +189,27 @@ def parse_hypotheses(
     the taxonomy are remapped to the reserved discovery id; free-slot tags
     are namespaced so analytics can tell them apart.
     """
-    headers = list(_HEADER_RE.finditer(response))
+    headers = [h for h in _HEADER_RE.finditer(response)
+               if h.start() == 0 or response[h.start() - 1] == "\n"]
     if not headers:
         raise NoBlocksFoundError("response contains no [HYPOTHESIS n] blocks")
     parsed: list[Hypothesis] = []
     malformed = 0
     for idx, header in enumerate(headers):
-        start = header.end()
         end = headers[idx + 1].start() if idx + 1 < len(headers) else len(response)
-        segment = response[start:end]
-        tag = _TAG_RE.search(segment)
-        desc = _DESCRIPTION_RE.search(segment)
-        fix = _FIX_RE.search(segment)
-        if len(parsed) >= k or not (tag and desc and fix):
+        # Each field is the block's first line of "NAME:" and at least one character.
+        fields: dict[str, str] = {}
+        for line in response[header.end():end].split("\n"):
+            name, _, value = line.partition(":")
+            if value and name in ("TAG", "DESCRIPTION", "FIX") and name not in fields:
+                fields[name] = value.strip()
+        if len(parsed) >= k or len(fields) < 3:
             malformed += 1
             continue
         origin = "heuristic"
         if slot_origins is not None:
             origin = slot_origins[min(idx, len(slot_origins) - 1)]
-        raw_tag = tag.group(1).strip()
+        raw_tag = fields["TAG"]
         if origin == "free":
             label = free_label(raw_tag)
         elif taxonomy.covers(raw_tag):
@@ -207,8 +217,8 @@ def parse_hypotheses(
         else:
             label = UNCLASSIFIED_ID
         parsed.append(
-            Hypothesis(label=label, description=desc.group(1).strip(),
-                       fix=fix.group(1).strip(), origin=origin)
+            Hypothesis(label=label, description=fields["DESCRIPTION"], fix=fields["FIX"],
+                       origin=origin)
         )
     return parsed, malformed
 

@@ -48,7 +48,6 @@ Respond with a JSON object in this format:
 ORDER_FIX = "order_solution_first"
 
 _LABEL_RE = re.compile(r"^Root cause label: (.*)$", re.MULTILINE)
-_PROMPT_RE = re.compile(r"Current prompt:\n(.*?)\n\nFailure cases:", re.DOTALL)
 
 _TAG_NOTES = {
     "cot_field_ordering": (
@@ -266,6 +265,8 @@ class SyntheticBackend:
         self.taxonomy = taxonomy
         self.run_seed = run_seed
         self._items_by_question = {it.question: it for it in dataset.train + dataset.val}
+        self._decoys = [tid for tid in taxonomy.ids
+                        if tid not in (world.true_root_cause, UNCLASSIFIED_ID)]
         self._feature_cache: dict[str, dict[str, bool]] = {}
         # Keyed on (feature values, item): cosmetic rewrites share features.
         self._answers: dict[tuple[tuple[bool, ...], TaskItem], str] = {}
@@ -320,8 +321,6 @@ class SyntheticBackend:
             origins = ["heuristic"] * (int(match.group(1)) if match else 3)
         rng = self._rng(request)
         truth = self.world.true_root_cause
-        decoys = [tid for tid in self.taxonomy.ids
-                  if tid not in (truth, UNCLASSIFIED_ID)]
         heuristic_slots = [i for i, o in enumerate(origins) if o == "heuristic"]
         truth_slot = None
         if heuristic_slots and rng.random() < self.world.heuristic_success:
@@ -335,7 +334,7 @@ class SyntheticBackend:
             elif origin == "free" and free_labels:
                 tag = rng.choices(free_labels, weights=free_weights, k=1)[0]
             else:
-                tag = rng.choice(decoys) if decoys else UNCLASSIFIED_ID
+                tag = rng.choice(self._decoys) if self._decoys else UNCLASSIFIED_ID
             note, fix = _TAG_NOTES.get(
                 tag, (f"The prompt shows signs of {tag.replace('_', ' ')}.",
                       f"Rewrite the prompt to address {tag.replace('_', ' ')}."))
@@ -348,8 +347,9 @@ class SyntheticBackend:
         text = request.text()
         label_match = _LABEL_RE.search(text)
         label = label_match.group(1).strip() if label_match else UNLABELED
-        prompt_match = _PROMPT_RE.search(text)
-        parent = prompt_match.group(1) if prompt_match else ""
+        # The parent prompt sits between the reflection template's two anchors.
+        parent, end, _ = text.partition("Current prompt:\n")[2].partition("\n\nFailure cases:")
+        parent = parent if end else ""
         # Only the label-free mutation draws; its RNG hashes the whole request.
         rng = self._rng(request) if strip_free_prefix(label) == UNLABELED else None
         return synthetic_reflect(label, parent, self.world, rng)

@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
@@ -100,6 +100,8 @@ class TaxonomyEntry:
 @dataclass(frozen=True)
 class Taxonomy:
     entries: tuple[TaxonomyEntry, ...]
+    ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _id_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -109,13 +111,11 @@ class Taxonomy:
             if e.id in seen:
                 raise DuplicateIdError(f"duplicate taxonomy id {e.id!r}")
             seen.add(e.id)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.entries)
+        object.__setattr__(self, "ids", tuple(e.id for e in self.entries))
+        object.__setattr__(self, "_id_set", frozenset(seen))
 
     def __contains__(self, taxonomy_id: str) -> bool:
-        return any(e.id == taxonomy_id for e in self.entries)
+        return taxonomy_id in self._id_set
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -158,8 +158,10 @@ class Evaluator:
 
     A backend that declares ``deterministic`` has each distinct (prompt,
     item) pair generated and scored once per evaluator, and repeats still
-    count, and each distinct (item, raw output) is scored once.  Sampled
-    models are not memoized: verification compares fresh samples.
+    count, and each distinct (item, raw output) is scored once.  The memo
+    maps each prompt text to its records by item, so a call looks each
+    prompt up once.  Sampled models are not memoized: verification
+    compares fresh samples.
     """
 
     def __init__(self, backend: Backend, max_parallel: int = 1):
@@ -168,7 +170,7 @@ class Evaluator:
         self.metric_calls = 0
         self.uncharged_calls = 0
         memo = declared(backend, "deterministic", "base")
-        self._memo: dict[tuple[str, TaskItem], EvaluationRecord] | None = {} if memo else None
+        self._memo: dict[str, dict[TaskItem, EvaluationRecord]] | None = {} if memo else None
         self._scores: dict[tuple[TaskItem, str], EvaluationRecord] | None = {} if memo else None
 
     def _score(self, item: TaskItem, raw: str) -> EvaluationRecord:
@@ -185,29 +187,27 @@ class Evaluator:
         raws = generate_in_order(self.backend, requests, self.max_parallel)
         return [self._score(item, raw) for (_text, item), raw in zip(tasks, raws)]
 
-    def _dispatch(self, tasks: Sequence[tuple[str, TaskItem]], *,
-                  charged: bool) -> list[EvaluationRecord]:
-        if self._memo is None:
-            records = self._generate_and_score(tasks)
-        else:
-            # Keyed on the whole item, not its id: callers of predict/score
-            # build their own items, and ids may repeat.
-            records = [self._memo.get(t) for t in tasks]
-            missing = list(dict.fromkeys(t for t, r in zip(tasks, records) if r is None))
-            if missing:
-                self._memo.update(zip(missing, self._generate_and_score(missing)))
-                records = [self._memo[t] for t in tasks]
-        if charged:
-            self.metric_calls += len(tasks)
-        else:
-            self.uncharged_calls += len(tasks)
-        return records
-
     def evaluate(self, prompt_texts: Sequence[str], items: Sequence[TaskItem], *,
                  charged: bool) -> list[tuple[EvaluationRecord, ...]]:
         """Each prompt's records, in item order.  Several prompts on the same
         items (a round's rewrites on its minibatch) share one dispatch."""
-        records = self._dispatch(
-            [(text, item) for text in prompt_texts for item in items], charged=charged)
         n = len(items)
-        return [tuple(records[s * n:(s + 1) * n]) for s in range(len(prompt_texts))]
+        if self._memo is None:
+            records = self._generate_and_score([(text, item) for text in prompt_texts for item in items])
+            rows = [tuple(records[s * n:(s + 1) * n]) for s in range(len(prompt_texts))]
+        else:
+            # Keyed on the whole item, not its id: callers of predict/score
+            # build their own items, and ids may repeat.
+            memos = [self._memo.get(text, {}) for text in prompt_texts]
+            missing = list(dict.fromkeys((text, item) for text, memo in zip(prompt_texts, memos)
+                                         for item in items if item not in memo))
+            if missing:
+                for (text, item), record in zip(missing, self._generate_and_score(missing)):
+                    self._memo.setdefault(text, {})[item] = record
+                memos = [self._memo[text] for text in prompt_texts]
+            rows = [tuple([memo[item] for item in items]) for memo in memos]
+        if charged:
+            self.metric_calls += len(prompt_texts) * n
+        else:
+            self.uncharged_calls += len(prompt_texts) * n
+        return rows

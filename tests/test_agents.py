@@ -12,7 +12,7 @@ from vistaopt.agents import (
     render_reflection_prompt,
     render_taxonomy,
 )
-from vistaopt.domain import Hypothesis, TaskItem
+from vistaopt.domain import UNCLASSIFIED_ID, Hypothesis, TaskItem, free_label
 from vistaopt.errors import EmptyRewriteError, MissingBindingError, NoBlocksFoundError
 from vistaopt.evaluation import EvaluationRecord
 from vistaopt.trace import TraceEdge
@@ -242,6 +242,94 @@ def test_parse_accounting_invariant_fuzzed(taxonomy):
         parsed, malformed = parse_hypotheses(response, 3, taxonomy)
         assert len(parsed) + malformed == headers
         assert len(parsed) == min(3, well_formed)
+
+
+# The regex parser that ``parse_hypotheses`` replaced, kept as its oracle:
+# headers are found by a pattern anchored at every line start, and each field
+# by its own search over the block.
+ORACLE_HEADER_RE = re.compile(r"^\[HYPOTHESIS (\d+)\]\s*$", re.MULTILINE)
+ORACLE_FIELD_RES = {name: re.compile(rf"^{name}:[ \t]*(.+)$", re.MULTILINE)
+                    for name in ("TAG", "DESCRIPTION", "FIX")}
+
+
+def oracle_parse_hypotheses(response, k, taxonomy, slot_origins=None):
+    headers = list(ORACLE_HEADER_RE.finditer(response))
+    if not headers:
+        raise NoBlocksFoundError("response contains no [HYPOTHESIS n] blocks")
+    parsed, malformed = [], 0
+    for idx, header in enumerate(headers):
+        end = headers[idx + 1].start() if idx + 1 < len(headers) else len(response)
+        segment = response[header.end():end]
+        tag, desc, fix = (ORACLE_FIELD_RES[name].search(segment)
+                          for name in ("TAG", "DESCRIPTION", "FIX"))
+        if len(parsed) >= k or not (tag and desc and fix):
+            malformed += 1
+            continue
+        origin = "heuristic"
+        if slot_origins is not None:
+            origin = slot_origins[min(idx, len(slot_origins) - 1)]
+        raw_tag = tag.group(1).strip()
+        if origin == "free":
+            label = free_label(raw_tag)
+        elif taxonomy.covers(raw_tag):
+            label = raw_tag
+        else:
+            label = UNCLASSIFIED_ID
+        parsed.append(Hypothesis(label=label, description=desc.group(1).strip(),
+                                 fix=fix.group(1).strip(), origin=origin))
+    return parsed, malformed
+
+
+def parse_outcome(parse, *args):
+    """The parser's result, or NoBlocksFoundError when it raises that."""
+    try:
+        return parse(*args)
+    except NoBlocksFoundError:
+        return NoBlocksFoundError
+
+
+def test_parse_matches_regex_oracle_fuzzed(taxonomy):
+    """Full output, the malformed count and NoBlocksFoundError equal the
+    regex parser's on seeded random responses, including carriage returns,
+    tabs, blanks after a header, bare or whitespace-only fields and headers
+    that do not start a line."""
+    rng = random.Random(27)
+    headers = ["[HYPOTHESIS 1]\n", "[HYPOTHESIS 2]\n", "[HYPOTHESIS 9]\n", "[HYPOTHESIS 3]\r\n",
+               "[HYPOTHESIS 4] \t \n", "[HYPOTHESIS 5]\n\n  \n", "[HYPOTHESIS 6]",
+               "[HYPOTHESIS x]\n", "[HYPOTHESIS 7] trailing prose\n", "see [HYPOTHESIS 8]\n",
+               "  [HYPOTHESIS 1]\n"]
+    fields = [
+        ["TAG: cot_field_ordering\n", "TAG: junk_tag\n", "TAG:\tformat_and_syntax\r\n",
+         "TAG: cot_field_ordering+format_and_syntax\n", "TAG: Free Form Tag!\n", "TAG:\n",
+         "TAG:", "TAG: \t \n", " TAG: reasoning_strategy\n"],
+        ["DESCRIPTION: something specific.\n", "DESCRIPTION:\t tabbed text\t\n",
+         "DESCRIPTION:   \n", "DESCRIPTION:\r\n", "DESCRIPTION: a: b\n"],
+        ["FIX: do something.\n", "FIX:\n", "FIX: \t\n", "FIX:do it\r\n"],
+    ]
+    noise = ["random prose line\n", "prose without newline ", "\n", "\r", "\t", "  \n", "\r\n"]
+    origins = [None, ["heuristic"], ["free"], ["heuristic", "free", "heuristic"],
+               ["free", "heuristic", "free", "heuristic"]]
+    counts = {"parsed": 0, "malformed": 0, "no blocks": 0}
+    for _ in range(3000):
+        # Blocks of a header and its fields in any order, some missing or repeated,
+        # with noise anywhere.
+        chunks = []
+        for _ in range(rng.randint(0, 6)):
+            chunks.append(rng.choice(headers))
+            chunks.extend(rng.choice(rng.choice(fields)) for _ in range(rng.randint(0, 5)))
+        chunks.extend(rng.choice(noise) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.5:
+            rng.shuffle(chunks)
+        response = "".join(chunks)
+        args = (response, rng.randint(1, 4), taxonomy, rng.choice(origins))
+        result = parse_outcome(parse_hypotheses, *args)
+        assert result == parse_outcome(oracle_parse_hypotheses, *args), repr(response)
+        if result is NoBlocksFoundError:
+            counts["no blocks"] += 1
+        else:
+            counts["parsed"] += len(result[0])
+            counts["malformed"] += result[1]
+    assert min(counts.values()) > 300, counts
 
 
 def numbered_header_variant(n):

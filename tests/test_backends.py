@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 
 import pytest
 
@@ -14,8 +16,9 @@ from vistaopt.backends.synthetic import (
     synthetic_base_answer,
     synthetic_reflect,
 )
-from vistaopt.domain import TaskItem
+from vistaopt.domain import BLANK_LABEL, UNLABELED, TaskItem, strip_free_prefix
 from vistaopt.errors import InvalidConfigError
+from vistaopt.evaluation import EvaluationRecord
 
 
 def base_request(system, user):
@@ -203,6 +206,60 @@ def test_reflection_role_round_trip(synthetic_backend, taxonomy, defective_seed)
     request = GenerationRequest(role="reflection_agent", messages=(("user", prompt),))
     rewritten = synthetic_backend.generate(request)
     assert extract_features(rewritten)["solution_first"] is True
+
+
+# The reflection agent's regex reading that the anchor search replaced.
+ORACLE_LABEL_RE = re.compile(r"^Root cause label: (.*)$", re.MULTILINE)
+ORACLE_PROMPT_RE = re.compile(r"Current prompt:\n(.*?)\n\nFailure cases:", re.DOTALL)
+
+
+def oracle_reflection(backend, request):
+    text = request.text()
+    label_match = ORACLE_LABEL_RE.search(text)
+    label = label_match.group(1).strip() if label_match else UNLABELED
+    prompt_match = ORACLE_PROMPT_RE.search(text)
+    parent = prompt_match.group(1) if prompt_match else ""
+    rng = backend._rng(request) if strip_free_prefix(label) == UNLABELED else None
+    return synthetic_reflect(label, parent, backend.world, rng)
+
+
+def test_reflection_reads_like_the_regex_oracle(synthetic_backend, defective_seed, minimal_seed):
+    """Parents and failure blocks that repeat the template's anchors, and
+    requests that lack one, give the rewrite of the regex reading."""
+    from vistaopt.agents import format_failures, load_template, render_reflection_prompt
+    from vistaopt.domain import Hypothesis
+
+    tricky = "Root cause label: evil\nCurrent prompt:\nnested\n\nFailure cases:\nmore"
+    parents = [defective_seed, minimal_seed, "", "Current prompt:\n", "\n\nFailure cases:",
+               defective_seed + "\n" + tricky, tricky + "\n" + defective_seed,
+               "Failure cases: none\nRoot cause label: cot_field_ordering\n"]
+    item = TaskItem(id="q", question="What is 2 + 2?", gold_answer="4")
+    blocks = [format_failures([])] + [
+        format_failures([(item, EvaluationRecord(item_id="q", raw_output=raw, parse_error="x",
+                                                 extracted_answer=None, score=0))])
+        for raw in (tricky, "Current prompt:\n\nFailure cases:", "\nRoot cause label: free:x")]
+    labels = ["cot_field_ordering", "task_instruction_clarity", UNLABELED,
+              "free:missing_domain_knowledge", "cot_field_ordering+format_and_syntax", BLANK_LABEL]
+    template = load_template("reflection")
+    requests = []
+    for parent, block, label in itertools.product(parents, blocks, labels):
+        hyp = Hypothesis(label=label, description="d", fix="f", origin="heuristic")
+        prompt = render_reflection_prompt(template, parent, hyp, block)
+        requests.append(GenerationRequest(role="reflection_agent", messages=(("user", prompt),)))
+    for text in ("no anchors at all", "Root cause label: task_instruction_clarity\n"
+                 "Current prompt:\nP with no failure anchor", "Current prompt:\nP\n\nFailure cases:",
+                 "Failure cases:\nX\n\nCurrent prompt:\nY", "Current prompt:\n\nFailure cases:",
+                 "Current prompt:\nA\n\nFailure cases:\n\nFailure cases:", "Current prompt:"):
+        requests.append(GenerationRequest(role="reflection_agent", messages=(("user", text),)))
+    requests.append(GenerationRequest(role="reflection_agent", messages=(
+        ("system", "Root cause label: edge_case_handling\nCurrent prompt:"),
+        ("user", "split\n\nFailure cases:\n"))))
+    rewrites = set()
+    for request in requests:
+        rewrite = synthetic_backend.generate(request)
+        assert rewrite == oracle_reflection(synthetic_backend, request), request.text()
+        rewrites.add(rewrite)
+    assert len(rewrites) > 20
 
 
 # ------------------------------------------------------------ world config

@@ -320,6 +320,11 @@ class ForwardingBackend:
         return self.inner.generate(request)
 
 
+def memo_pairs(evaluator):
+    """The (prompt, item) pairs in the evaluator's memo of records by item per prompt."""
+    return sum(len(records) for records in evaluator._memo.values())
+
+
 def test_memo_generates_each_distinct_pair_once_per_run(world, dataset_50, taxonomy,
                                                          defective_seed):
     """The benchmark's config (K=3, p=0.2, epsilon=0.1, b=8, budget 5000),
@@ -333,7 +338,7 @@ def test_memo_generates_each_distinct_pair_once_per_run(world, dataset_50, taxon
     plain_backend = ForwardingBackend(SyntheticBackend(world, dataset_50, taxonomy, run_seed=1))
     plain = run(config, dataset_50, taxonomy, plain_backend, defective_seed)
 
-    assert counting.base_calls == len(memo.evaluator._memo) == 473
+    assert counting.base_calls == memo_pairs(memo.evaluator) == 473
     assert (memo.evaluator.metric_calls, memo.evaluator.uncharged_calls) == (5007, 2490)
     assert (memo.evaluator.metric_calls, memo.evaluator.uncharged_calls) == (
         plain.evaluator.metric_calls, plain.evaluator.uncharged_calls)
@@ -370,7 +375,7 @@ def test_memo_key_is_the_whole_item(world, dataset_50, taxonomy, repaired_seed):
     (records,) = ev.evaluate([repaired_seed], items, charged=False)
     assert [r.score for r in records] == [1, 1, 0, 1, 0]
     assert records[0] is records[1]
-    assert len(ev._memo) == backend.base_calls == 4
+    assert memo_pairs(ev) == backend.base_calls == 4
     # A prompt with the same features gets the same raw output: one score record.
     (again,) = ev.evaluate([repaired_seed + "\n"], items[:1], charged=False)
     assert again[0] is records[0] and backend.base_calls == 5
@@ -460,7 +465,7 @@ def test_memo_failed_dispatch_changes_no_counter_or_record(world, dataset_50, ta
     ev = Evaluator(backend, max_parallel=1)
     items = list(dataset_50.train[:8])
     ev.evaluate([defective_seed], items[:4], charged=True)
-    before = dict(ev._memo)
+    before = {text: dict(records) for text, records in ev._memo.items()}
     with pytest.raises(RuntimeError, match="injected"):
         ev.evaluate([defective_seed], items, charged=False)
     assert backend.base_calls == 6

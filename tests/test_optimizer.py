@@ -822,3 +822,29 @@ def test_persisted_run_exports_trace_once_per_format(dataset_50, taxonomy, defec
         assert sorted(formats) == ["dot", "json"], f"budget {budget}: {formats}"
         rounds.append(len(result.outcomes))
     assert rounds[0] < rounds[1]
+
+
+def test_benchmark_tracer_patch_points_record_spans(dataset_50, taxonomy, defective_seed,
+                                                   monkeypatch):
+    """The benchmark's tracer wraps the agents' four functions at their names
+    in ``optimizer`` and the evaluator's public methods; a run made while it
+    is installed records spans at each, so a refactor that calls around a
+    patch point fails here."""
+    import importlib
+    from pathlib import Path
+
+    import vistaopt
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    bench_trace = importlib.import_module("bench_trace")
+    tracer = bench_trace.Tracer(0)
+    with tracer.installed(vistaopt):
+        backend = SyntheticBackend(SyntheticWorldConfig(), dataset_50, taxonomy, 0)
+        vistaopt.run(RunConfig(rng_seed=0, budget=300), dataset_50, taxonomy, backend,
+                     defective_seed)
+    names = {span[2] for span in tracer.spans}
+    for name in ("agents.render.render_hypothesis_prompt", "agents.render.render_reflection_prompt",
+                 "agents.parse.parse_hypotheses", "agents.parse.extract_rewritten_prompt",
+                 "evaluation.evaluate", "optimizer.run"):
+        assert name in names, name
+    assert optimizer.parse_hypotheses is agents.parse_hypotheses, "the tracer restored its patches"

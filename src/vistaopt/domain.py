@@ -1,5 +1,6 @@
 """Core data types shared by every module: prompts, hypotheses, taxonomy,
-datasets, and run configuration.
+datasets, and run configuration, with the checks that read the config and
+the run files against their annotations.
 
 All types are immutable after construction and safe to share across
 concurrent evaluation workers; updated views are produced with
@@ -14,7 +15,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 from types import NoneType, UnionType
@@ -278,13 +279,12 @@ class Range:
 _KEYWORDS = {"minimum": (">=", operator.ge), "exclusiveMinimum": (">", operator.gt),
              "maximum": ("<=", operator.le), "enum": ("in", lambda value, enum: value in enum)}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", Path: "a string",
-               NoneType: "null"}
+               bool: "a boolean", NoneType: "null"}
 
 
 def _violation(hint, value) -> str | None:
     """Why ``value`` lacks the type or ranges that ``hint`` annotates, or None;
-    a bool is neither an integer nor a number, a number is finite, and
-    nothing is coerced."""
+    a bool is only a boolean, a number is finite, and nothing is coerced."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:
         return _violation(args[0], value) or next(
@@ -298,7 +298,8 @@ def _violation(hint, value) -> str | None:
         if not isinstance(value, Mapping):
             return f"{value!r} is not an object"
         return next(filter(None, (_violation(args[1], v) for v in value.values())), None)
-    if (not isinstance(value, (int, float) if hint is float else hint) or isinstance(value, bool)
+    if (not isinstance(value, (int, float) if hint is float else hint)
+            or isinstance(value, bool) and hint is not bool
             or hint is float and not -math.inf < value < math.inf):  # JSON has no NaN, Infinity
         return f"{value!r} is not {_TYPE_NAMES[hint]}"
     return None
@@ -333,6 +334,67 @@ def check_config(config, sections) -> list[dict]:
     if violations:
         raise InvalidConfigError(violations)
     return found
+
+
+def _exact(hint) -> frozenset:
+    """What meets ``hint`` on sight: the types int, bool, str and None that it
+    names, and the strings of an enum of strings."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return frozenset().union(*map(_exact, args))
+    if origin is Annotated and args[0] is str and args[1:] == (Range(enum=args[1].enum),):
+        return frozenset(args[1].enum or ())
+    return frozenset({int, bool, str, NoneType} & {hint})
+
+
+@functools.cache
+def _record_fields(cls) -> tuple:
+    """``(name, key, hint, exact)`` for each field of the record dataclass
+    ``cls`` that its run file holds, under the key that the field's ``json``
+    metadata names (None: kept in memory only) or its own name."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple((f.name, key, hints[f.name], _exact(hints[f.name])) for f in fields(cls)
+                 if (key := f.metadata.get("json", f.name)) is not None)
+
+
+def record_dict(record) -> dict:
+    """The JSON object that ``read_record`` reads ``record`` back from, with
+    its arrays as tuples or lists and its records as dataclasses."""
+    return {key: getattr(record, name) for name, key, _, _ in _record_fields(type(record))}
+
+
+def _read(hint, value, key: str):
+    """``value``, held under ``key``, in the form of a field annotated ``hint``:
+    an array as a list or tuple, an object as a record.  A wrong type is a
+    TypeError, and a value outside its ``Range`` a ValueError."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple):  # list[T] or tuple[T, ...]
+        if type(value) is not list:
+            raise TypeError(f"{key} {value!r} is not an array")
+        return origin(_read(args[0], item, key) for item in value)
+    if is_dataclass(hint):
+        return read_record(hint, value)
+    if reason := _violation(hint, value):
+        typed = origin is Annotated and _violation(args[0], value) is None
+        raise (ValueError if typed else TypeError)(f"{key} {reason}")
+    return value
+
+
+def read_record(cls, obj):
+    """The record dataclass ``cls`` read from ``obj``, the JSON object that its
+    run file holds: ``obj`` must hold the key of each field the file holds,
+    and no other key, and each value is checked against its annotation."""
+    if type(obj) is not dict:
+        raise TypeError(f"{obj!r} is not an object")
+    args = {}
+    for name, key, hint, exact in _record_fields(cls):
+        value = obj[key]
+        args[name] = (value if type(value) in exact or type(value) is str and value in exact
+                      else _read(hint, value, key))
+    if len(args) < len(obj):
+        raise ValueError(f"{sorted(set(obj) - {f[1] for f in _record_fields(cls)})} "
+                         f"are not keys of a {cls.__name__}")
+    return cls(**args)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 from .agents import (
     format_failures,
@@ -57,6 +58,7 @@ from .domain import (
     UNLABELED,
     Hypothesis,
     PromptCandidate,
+    Range,
     RunConfig,
     TaskDataset,
     TaskItem,
@@ -93,32 +95,30 @@ FALLBACK_DIRECTIVE = Hypothesis(
 MAX_STALLED_ROUNDS = 200
 
 
+@dataclass(frozen=True)
+class Charge:
+    """What one round charged the budget."""
+
+    iteration: int
+    branch: str
+    amount: Annotated[int, Range(minimum=0)]
+
+
 @dataclass
 class BudgetLedger:
-    initial: int
-    charges: list[tuple[int, str, int]] = field(default_factory=list)
-    _spent: int = 0
+    """The budget and each round's charge to it; ``remaining`` is ``initial``
+    minus the charges' sum, which ``report`` checks on read."""
 
-    @property
-    def remaining(self) -> int:
-        return self.initial - self._spent
+    initial: int
+    remaining: int
+    charges: list[Charge] = field(default_factory=list)
 
     def add(self, iteration: int, branch: str, amount: int) -> None:
-        self.charges.append((iteration, branch, amount))
-        self._spent += amount
+        self.charges.append(Charge(iteration, branch, amount))
+        self.remaining -= amount
 
     def total_charged(self) -> int:
-        return self._spent
-
-    def to_dict(self) -> dict:
-        return {
-            "initial": self.initial,
-            "remaining": self.remaining,
-            "charges": [
-                {"iteration": it, "branch": br, "amount": amt}
-                for it, br, amt in self.charges
-            ],
-        }
+        return self.initial - self.remaining
 
 
 @dataclass(frozen=True)
@@ -146,17 +146,9 @@ class RoundOutcome:
     lookahead_steps: int = 0
     log: list[str] = field(default_factory=list)
     # What ``_apply`` needs beyond the round record; kept in memory only.
-    texts: list[str] = field(default_factory=list, repr=False)
-    winner_val_scores: tuple[int, ...] | None = field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        """JSON-shaped; shallow, as ``dataclasses.asdict`` costs ~25x more per round."""
-        data = dict(vars(self))
-        del data["texts"], data["winner_val_scores"]
-        data["minibatch"] = list(self.minibatch)
-        data["proposals"] = [dict(vars(p)) for p in self.proposals]
-        data["log"] = list(self.log)
-        return data
+    texts: list[str] = field(default_factory=list, repr=False, metadata={"json": None})
+    winner_val_scores: tuple[int, ...] | None = field(default=None, repr=False,
+                                                      metadata={"json": None})
 
 
 @dataclass
@@ -211,7 +203,7 @@ class OptimizationRun:
         self.rng_lookahead = random.Random(f"{seed}/lookahead")
 
         self.outcomes: list[RoundOutcome] = []
-        self.ledger = BudgetLedger(initial=config.budget)
+        self.ledger = BudgetLedger(initial=config.budget, remaining=config.budget)
 
         # Seed initialization: the seed is validation-scored (unmetered,
         # pre-loop) and enters the pool unconditionally.
@@ -320,7 +312,7 @@ class OptimizationRun:
                 iteration += 1
                 outcome = self.step_round(iteration)
                 if journal is not None:
-                    journal.write(json_line(outcome.to_dict()))
+                    journal.write(json_line(outcome))
                     journal.flush()
                 self._apply(outcome)
                 if outcome.charge == 0:
@@ -509,7 +501,7 @@ class OptimizationRun:
         write_atomic(self.out_dir / "trace.json", export_tree(self.trace, "json"))
         write_atomic(self.out_dir / "trace.dot", export_tree(self.trace, "dot"))
         write_atomic(self.out_dir / "pool.json", json_text(self.pool.snapshot()))
-        write_atomic(self.out_dir / "ledger.json", json_text(self.ledger.to_dict()))
+        write_atomic(self.out_dir / "ledger.json", json_text(self.ledger))
 
 
 def run(

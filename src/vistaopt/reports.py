@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .artifacts import _typed, json_text, write_atomic
-from .domain import Taxonomy
+from .artifacts import json_text, write_atomic
+from .domain import Taxonomy, read_record
 from .errors import MissingArtifactsError
+from .optimizer import BudgetLedger, Charge, RoundOutcome
 from .trace import ACCEPTED, SemanticTraceTree, detect_oscillation, import_tree
 
 T = TypeVar("T")
@@ -50,27 +51,26 @@ def load_trace(run_dir: str | Path) -> SemanticTraceTree:
 
 def build_best_curve(run_dir: Path, trace: SemanticTraceTree) -> list[tuple[int, float]]:
     """The curve from the run's journal, whose rounds' (iteration, branch,
-    charge) must be the ledger's charges in order, and ``trace``, its parsed
-    ``trace.json``."""
-    def charge(c: dict) -> tuple[int, str, int]:
-        if _typed(c["amount"], int) < 0:
-            raise ValueError(f"charge amount {c['amount']} is negative")
-        return _typed(c["iteration"], int), _typed(c["branch"], str), c["amount"]
-
-    charges = read_artifact(run_dir, "ledger.json",
-                            lambda text: [charge(c) for c in json.loads(text)["charges"]])
+    charge) must be the ledger's charges in order, and from ``trace``, its
+    parsed ``trace.json``.  The ledger's ``remaining`` must be its
+    ``initial`` minus those charges."""
+    ledger = read_artifact(run_dir, "ledger.json",
+                           lambda text: read_record(BudgetLedger, json.loads(text)))
     # The journal's lines are in iteration order.
     outcomes = read_artifact(run_dir, "rounds.jsonl", lambda text: [
-        (_typed(o["iteration"], int), _typed(o["branch"], str), _typed(o["charge"], int),
-         _typed(o["best_updated"], bool), _typed(o["winner"], int, type(None)))
-        for o in map(json.loads, text.splitlines())])
-    rounds = [outcome[:3] for outcome in outcomes]
-    if charges != rounds:
-        at, ledger, journal = next((at, c, r) for at, (c, r) in enumerate(
-            zip(charges + ["nothing"], rounds + ["nothing"])) if c != r)
+        read_record(RoundOutcome, json.loads(line)) for line in text.splitlines()])
+    rounds = [Charge(o.iteration, o.branch, o.charge) for o in outcomes]
+    if ledger.charges != rounds:
+        at, charge, journal = next((at, c, r) for at, (c, r) in enumerate(
+            zip(ledger.charges + ["nothing"], rounds + ["nothing"])) if c != r)
         raise MissingArtifactsError(
-            f"ledger.json in {run_dir} does not match rounds.jsonl: (iteration, branch, charge) "
-            f"number {at + 1} is {ledger} in the ledger but {journal} in the journal")
+            f"ledger.json in {run_dir} does not match rounds.jsonl: charge number {at + 1} "
+            f"is {charge} in the ledger but {journal} in the journal")
+    spent = sum(c.amount for c in rounds)
+    if ledger.remaining != ledger.initial - spent:
+        raise MissingArtifactsError(
+            f"ledger.json in {run_dir}: remaining {ledger.remaining} is not initial "
+            f"{ledger.initial} minus the {spent} that rounds.jsonl charges")
 
     seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
     best = seed_accuracy
@@ -80,12 +80,12 @@ def build_best_curve(run_dir: Path, trace: SemanticTraceTree) -> list[tuple[int,
         nid: node.val_accuracy for nid, node in trace.nodes.items()
         if node.val_accuracy is not None
     }
-    for _iteration, _branch, amount, best_updated, winner in outcomes:
-        if amount == 0:
+    for outcome in outcomes:
+        if outcome.charge == 0:
             continue
-        calls += amount
-        if best_updated and winner is not None:
-            best = max(best, best_by_id.get(winner, best))
+        calls += outcome.charge
+        if outcome.best_updated and outcome.winner is not None:
+            best = max(best, best_by_id.get(outcome.winner, best))
         curve.append((calls, best))
     return curve
 

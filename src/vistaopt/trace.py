@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Annotated, Iterable, Sequence
 
-from .artifacts import _typed, json_text
+from .artifacts import json_text
+from .domain import Range, read_record, record_dict
 from .errors import DuplicateNodeError, UnknownNodeError, UnknownParentError
 
 ACCEPTED = "accepted"
@@ -38,11 +39,11 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class TraceEdge:
-    from_id: int | None  # None marks a restart root event
-    to_id: int
+    from_id: int | None = field(metadata={"json": "from"})  # None marks a restart root event
+    to_id: int = field(metadata={"json": "to"})
     label: str
     delta_minibatch: int
-    status: str  # accepted | rejected
+    status: Annotated[str, Range(enum=(ACCEPTED, REJECTED))]
     iteration: int
     origin: str  # heuristic | free | blank | fallback
     delta_val_pp: float | None = None
@@ -112,20 +113,8 @@ class SemanticTraceTree:
     def to_dict(self) -> dict:
         return {
             "root": self.root,
-            "nodes": [dict(vars(n)) for n in self.nodes.values()],
-            "edges": [
-                {
-                    "from": e.from_id,
-                    "to": e.to_id,
-                    "label": e.label,
-                    "delta_minibatch": e.delta_minibatch,
-                    "delta_val_pp": e.delta_val_pp,
-                    "status": e.status,
-                    "iteration": e.iteration,
-                    "origin": e.origin,
-                }
-                for e in self.edges
-            ],
+            "nodes": [record_dict(n) for n in self.nodes.values()],
+            "edges": [record_dict(e) for e in self.edges],
         }
 
     @classmethod
@@ -133,37 +122,24 @@ class SemanticTraceTree:
         """Rebuild the tree as a run builds it, from the root and then each
         edge in order through ``record_proposal``, so an imported tree holds
         the same invariants; each node must be the root or an edge's target.
-        Every rejection is a ValueError, naming the edge when one is at fault."""
-        nodes = {n["id"]: TraceNode(**n) for n in data["nodes"]}
-        for node in nodes.values():  # exact types: a bool is not a number
-            if type(node.val_accuracy) not in (int, float, type(None)):
-                raise ValueError(f"node {node.id!r}: val_accuracy {node.val_accuracy!r} "
-                                 "is not a number")
+        Nodes and edges are read through ``read_record``, and an edge's
+        rejection is a ValueError naming the edge."""
+        listed = [read_record(TraceNode, n) for n in data["nodes"]]
+        nodes = {node.id: node for node in listed}
         if data["root"] not in nodes:
             raise ValueError(f"root {data['root']!r} is not among the nodes")
         tree = cls.with_root(nodes[data["root"]])
         for index, e in enumerate(data["edges"]):
             try:
-                edge = TraceEdge(
-                    from_id=_typed(e["from"], int, type(None)),
-                    to_id=_typed(e["to"], int),
-                    label=_typed(e["label"], str),
-                    delta_minibatch=_typed(e["delta_minibatch"], int),
-                    delta_val_pp=_typed(e.get("delta_val_pp"), int, float, type(None)),
-                    status=e["status"],
-                    iteration=_typed(e["iteration"], int),
-                    origin=_typed(e["origin"], str),
-                )
-                if edge.status not in (ACCEPTED, REJECTED):
-                    raise ValueError(f"status {edge.status!r} is not {ACCEPTED} or {REJECTED}")
+                edge = read_record(TraceEdge, e)
                 if edge.to_id not in nodes:
                     raise ValueError(f"target {edge.to_id} is not among the nodes")
                 tree.record_proposal(edge, nodes[edge.to_id])
             except (DuplicateNodeError, UnknownParentError, LookupError, TypeError,
                     ValueError) as exc:
                 raise ValueError(f"edge {index}: {type(exc).__name__}: {exc}") from exc
-        if len(data["nodes"]) != len(tree.nodes):
-            stray = [n["id"] for n in data["nodes"] if n["id"] not in tree.nodes]
+        if len(listed) != len(tree.nodes):
+            stray = [node.id for node in listed if node.id not in tree.nodes]
             raise ValueError(f"nodes listed twice or created by no edge: {stray}")
         return tree
 

@@ -160,7 +160,9 @@ def test_export_trace_and_report_round_trip(config_file, tmp_path):
 
     # re-exporting json and re-running the report leaves outputs unchanged
     before = (out / "report.csv").read_bytes(), (out / "attribution.csv").read_bytes()
+    trace = (out / "trace.json").read_bytes()
     assert main(["export-trace", str(out), "--format", "json"]) == EXIT_OK
+    assert (out / "trace.json").read_bytes() == trace
     assert main(["report", str(out)]) == EXIT_OK
     after = (out / "report.csv").read_bytes(), (out / "attribution.csv").read_bytes()
     assert before == after
@@ -232,6 +234,37 @@ def first_record(records, key, value):
     return edit
 
 
+def top_level(key, value):
+    """An edit that sets ``key`` to ``value`` in a JSON run file's object."""
+    def edit(text):
+        return json.dumps({**json.loads(text), key: value})
+    edit.__name__ = f"{key}={json.dumps(value)}"
+    return edit
+
+
+def first_target(key, value, rejected=False):
+    """An edit that sets ``key`` to ``value`` in the node that the first edge
+    of a ``trace.json``, or its first rejected edge, leads to."""
+    def edit(text):
+        data = json.loads(text)
+        target = next(e["to"] for e in data["edges"] if e["status"] == "rejected" or not rejected)
+        next(n for n in data["nodes"] if n["id"] == target)[key] = value
+        return json.dumps(data)
+    edit.__name__ = f"{'rejected-' * rejected}target-{key}={json.dumps(value)}"
+    return edit
+
+
+def first_proposal(key, value):
+    """An edit that sets ``key`` to ``value`` in the first proposal of a
+    ``rounds.jsonl``."""
+    def edit(text):
+        rounds = [json.loads(line) for line in text.splitlines()]
+        next(r for r in rounds if r["proposals"])["proposals"][0][key] = value
+        return "".join(json.dumps(r) + "\n" for r in rounds)
+    edit.__name__ = f"proposal-{key}={json.dumps(value)}"
+    return edit
+
+
 def first_accepted_edge(key, value):
     """An edit that sets ``key`` to ``value`` in the first accepted edge of a
     ``trace.json``."""
@@ -258,8 +291,15 @@ MALFORMED_RUN_FILES = [
       for key, value in (("iteration", 1.0), ("best_updated", 1), ("winner", "1"))],
     *[(command, "trace.json", first_record("nodes", "val_accuracy", value))
       for command in ("report", "export-trace") for value in ("x", True)],
+    *[(command, "trace.json", edit) for command in ("report", "export-trace")
+      for edit in (first_target("correct_count", "x", rejected=True),
+                   first_target("minibatch_size", [1], rejected=True), first_target("id", True))],
+    *[("report", "rounds.jsonl", first_record(None, key, value))
+      for key, value in (("proposals", "junk"), ("minibatch", 7), ("log", None))],
+    ("report", "rounds.jsonl", first_proposal("slot", "0")),
     # Well-typed values that no run writes.
     ("report", "ledger.json", first_record("charges", "amount", -50)),
+    ("report", "ledger.json", top_level("remaining", 12345)),
     *[(command, "trace.json", edit) for command in ("report", "export-trace")
       for edit in (first_record("edges", "from", 12345), first_accepted_edge("delta_val_pp", "x"))],
 ]

@@ -21,8 +21,11 @@ from pathlib import Path
 import pytest
 
 from vistaopt import run
+from vistaopt.artifacts import json_line, json_text
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
-from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt
+from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt, read_record
+from vistaopt.optimizer import BudgetLedger, ProposalRecord, RoundOutcome
+from vistaopt.trace import export_tree, import_tree
 
 from test_evaluation import ThreadRecordingBackend
 
@@ -116,6 +119,22 @@ def test_pooled_dispatch_matches_golden_manifest(tmp_path):
                          wrap=lambda backend: ThreadRecordingBackend(backend, threads))
     assert_matches_manifest(name, actual)
     assert len(threads) > 1
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_run_files_read_back_to_the_same_bytes(name, tmp_path):
+    """Each file read through its dataclass and written again is unchanged,
+    so the reader and the writer agree on every field."""
+    golden_run(name, tmp_path)
+    trace, ledger, journal = (
+        (tmp_path / file).read_text(encoding="utf-8")
+        for file in ("trace.json", "ledger.json", "rounds.jsonl"))
+    assert export_tree(import_tree(trace), "json") == trace
+    assert json_text(read_record(BudgetLedger, json.loads(ledger))) == ledger
+    outcomes = [read_record(RoundOutcome, json.loads(line)) for line in journal.splitlines()]
+    assert [json_line(o) for o in outcomes] == journal.splitlines(keepends=True)
+    assert all(type(o.minibatch) is tuple and all(type(p) is ProposalRecord for p in o.proposals)
+               for o in outcomes)
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

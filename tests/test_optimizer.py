@@ -9,9 +9,10 @@ import pytest
 from test_domain import check_candidate_invariants
 
 from vistaopt import agents, optimizer
+from vistaopt.artifacts import json_line, json_text
 from vistaopt.backends.base import RoleRouter
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
-from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy
+from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy, record_dict
 from vistaopt.errors import TransportFailureError
 from vistaopt.evaluation import Evaluator
 from vistaopt.optimizer import (
@@ -410,7 +411,7 @@ def test_identical_runs_bit_identical(dataset_50, taxonomy, defective_seed):
         return run(config, dataset_50, taxonomy, backend, defective_seed)
 
     a, b = one(), one()
-    assert [o.to_dict() for o in a.outcomes] == [o.to_dict() for o in b.outcomes]
+    assert [record_dict(o) for o in a.outcomes] == [record_dict(o) for o in b.outcomes]
     assert a.trace == b.trace
     assert a.best.text == b.best.text
 
@@ -422,7 +423,7 @@ def test_parallelism_does_not_change_results(dataset_50, taxonomy, defective_see
         return run(config, dataset_50, taxonomy, backend, defective_seed)
 
     a, b = with_parallel(1), with_parallel(4)
-    assert [o.to_dict() for o in a.outcomes] == [o.to_dict() for o in b.outcomes]
+    assert [record_dict(o) for o in a.outcomes] == [record_dict(o) for o in b.outcomes]
 
 
 class SlowReflections:
@@ -471,7 +472,7 @@ def test_reflections_are_generated_concurrently_up_to_max_parallel(dataset_50, t
     in_process_peak, in_process = traced_run(InProcessSlowReflections, 2)
     assert (serial_peak, pooled_peak, in_process_peak) == (1, 2, 1)
     for result in (pooled, in_process):
-        assert [o.to_dict() for o in result.outcomes] == [o.to_dict() for o in serial.outcomes]
+        assert [record_dict(o) for o in result.outcomes] == [record_dict(o) for o in serial.outcomes]
         assert result.trace == serial.trace
         assert result.ledger.total_charged() == result.evaluator.metric_calls
 
@@ -493,7 +494,7 @@ def test_routed_reflections_run_as_the_reflection_backend_declares(wrapper, peak
     serial_peak, serial = routed_run(1)
     routed_peak, routed = routed_run(3)
     assert (serial_peak, routed_peak) == (1, peak)
-    assert [o.to_dict() for o in routed.outcomes] == [o.to_dict() for o in serial.outcomes]
+    assert [record_dict(o) for o in routed.outcomes] == [record_dict(o) for o in serial.outcomes]
     assert routed.trace == serial.trace
     assert routed.ledger == serial.ledger
     assert routed.ledger.total_charged() == routed.evaluator.metric_calls
@@ -510,7 +511,7 @@ def test_concurrent_empty_rewrite_drops_only_its_slot(small_dataset):
         return result.outcomes[0]
 
     serial, pooled = first_round(1), first_round(3)
-    assert pooled.to_dict() == serial.to_dict()
+    assert record_dict(pooled) == record_dict(serial)
     assert [p.slot for p in pooled.proposals] == [0, 2]
     assert pooled.log == ["Slot 1 produced an empty rewrite; slot dropped.",
                           f"Selected slot 2 [{TAGS[2]}]. Candidate accepted."]
@@ -741,10 +742,10 @@ def test_crash_leaves_state_of_completed_rounds(fail_at, dataset_50, taxonomy, d
     journal = (out_dir / "rounds.jsonl").read_text(encoding="utf-8")
     assert journal.endswith("\n")
     rounds = [json.loads(line) for line in journal.splitlines()]
-    assert rounds == [o.to_dict() for o in completed]
+    assert rounds == [json.loads(json_line(o)) for o in completed]
 
     ledger = json.loads((out_dir / "ledger.json").read_text(encoding="utf-8"))
-    assert ledger == engine.ledger.to_dict()
+    assert ledger == json.loads(json_text(engine.ledger))
     assert [(c["iteration"], c["branch"], c["amount"]) for c in ledger["charges"]] == [
         (r["iteration"], r["branch"], r["charge"]) for r in rounds]
 

@@ -287,11 +287,14 @@ BROKEN_TRACES = {
     "label not a string": (edit_edge(0, label=None), r"edge 0: TypeError"),
     "origin not a string": (edit_edge(0, origin=1), r"edge 0: TypeError"),
     "unknown status": (edit_edge(1, status="maybe"), r"edge 1: ValueError: status 'maybe'"),
+    "unknown key": (edit_edge(0, weight=1), r"edge 0: ValueError: \['weight'\] are not keys"),
+    "no delta_val_pp": (lambda data: data["edges"][1].pop("delta_val_pp"),
+                        r"edge 1: KeyError: 'delta_val_pp'"),
     "delta_val_pp a string": (edit_edge(0, delta_val_pp="x"), r"edge 0: TypeError"),
     "delta_val_pp a bool": (edit_edge(0, delta_val_pp=True), r"edge 0: TypeError"),
     "accepted without delta_val_pp": (edit_edge(0, delta_val_pp=None),
                                       r"edge 0: ValueError: accepted edges"),
-    "node no edge creates": (lambda data: data["nodes"].append({"id": 9}),
+    "node no edge creates": (lambda data: data["nodes"].append({**data["nodes"][1], "id": 9}),
                              r"created by no edge: \[9\]"),
     "node listed twice": (lambda data: data["nodes"].append(data["nodes"][1]),
                           r"listed twice"),

@@ -282,22 +282,22 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", Path: "a s
                bool: "a boolean", NoneType: "null"}
 
 
-def _violation(hint, value) -> str | None:
-    """Why ``value`` lacks the type or ranges that ``hint`` annotates, or None;
-    a bool is only a boolean, a number is finite, and nothing is coerced."""
+def _violation(hint, value, ranged=True) -> str | None:
+    """Why ``value`` lacks the type (or the ranges, if ``ranged``) that ``hint``
+    annotates, or None; a bool is only a boolean, a number is finite, nothing is coerced."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:
         return _violation(args[0], value) or next(
-            (f"{value!r} is not {_KEYWORDS[key][0]} {bound!r}" for r in args[1:]
+            (f"{value!r} is not {_KEYWORDS[key][0]} {bound!r}" for r in args[1:] if ranged
              for key, bound in vars(r).items()
              if bound is not None and not _KEYWORDS[key][1](value, bound)), None)
     if origin in (Union, UnionType):
-        reasons = [_violation(arm, value) for arm in args]
+        reasons = [_violation(arm, value, ranged) for arm in args]
         return None if None in reasons else reasons[0]
     if origin is not None:  # Mapping[K, V] or dict[K, V]
         if not isinstance(value, Mapping):
             return f"{value!r} is not an object"
-        return next(filter(None, (_violation(args[1], v) for v in value.values())), None)
+        return next(filter(None, (_violation(args[1], v, ranged) for v in value.values())), None)
     if (not isinstance(value, (int, float) if hint is float else hint)
             or isinstance(value, bool) and hint is not bool
             or hint is float and not -math.inf < value < math.inf):  # JSON has no NaN, Infinity
@@ -336,15 +336,18 @@ def check_config(config, sections) -> list[dict]:
     return found
 
 
-def _exact(hint) -> frozenset:
-    """What meets ``hint`` on sight: the types int, bool, str and None that it
-    names, and the strings of an enum of strings."""
+def _exact(hint) -> dict:
+    """What meets ``hint`` on sight, each with the least value it may take
+    (None: any): the types int, bool, str and None that it names, the strings
+    of an enum of strings, and int where its only Range keyword is a minimum."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):
-        return frozenset().union(*map(_exact, args))
+        return {sight: low for arm in args for sight, low in _exact(arm).items()}
     if origin is Annotated and args[0] is str and args[1:] == (Range(enum=args[1].enum),):
-        return frozenset(args[1].enum or ())
-    return frozenset({int, bool, str, NoneType} & {hint})
+        return dict.fromkeys(args[1].enum or ())
+    if origin is Annotated and args[0] is int and args[1:] == (Range(minimum=args[1].minimum),):
+        return {int: args[1].minimum}
+    return dict.fromkeys({int, bool, str, NoneType} & {hint})
 
 
 @functools.cache
@@ -375,7 +378,7 @@ def _read(hint, value, key: str):
     if is_dataclass(hint):
         return read_record(hint, value)
     if reason := _violation(hint, value):
-        typed = origin is Annotated and _violation(args[0], value) is None
+        typed = _violation(hint, value, ranged=False) is None
         raise (ValueError if typed else TypeError)(f"{key} {reason}")
     return value
 
@@ -389,7 +392,8 @@ def read_record(cls, obj):
     args = {}
     for name, key, hint, exact in _record_fields(cls):
         value = obj[key]
-        args[name] = (value if type(value) in exact or type(value) is str and value in exact
+        sight = value if type(value) is str and str not in exact else type(value)
+        args[name] = (value if sight in exact and (exact[sight] is None or value >= exact[sight])
                       else _read(hint, value, key))
     if len(args) < len(obj):
         raise ValueError(f"{sorted(set(obj) - {f[1] for f in _record_fields(cls)})} "

@@ -4,19 +4,20 @@ minibatch verification, winner selection, validation gating, and exact
 budget accounting.
 
 Each round is decided, then applied.  ``OptimizationRun.step_round``
-decides: it draws a parent and a minibatch and runs one branch (K labeled
-hypotheses, a blank restart, a single-mutation fallback), which only
-generates its rewrites and writes its log lines.  The minibatch is b train
-items, and ``Evaluator.evaluate`` returns one tuple of records per prompt;
-the parent's correct count on the items is summed once per round.  All
-three branches share ``OptimizationRun._verify``: every rewrite is scored on
-the items in one evaluator dispatch, its gain is its correct count minus
-the parent's, the strictly best gain wins (ties go to the lowest slot), and
-the winner is scored on the full validation set.  The journal names the
-minibatch by item id.  Deciding changes no run state.  ``OptimizationRun._apply``
-then commits the ``RoundOutcome``; it is the only method that changes the
-candidates, the pool, the best candidate, the trace, the ledger and the
-outcome list, so a round that raises leaves all six as they were.
+decides: it draws a parent and a minibatch of b train items, and runs one
+branch (K labeled hypotheses, a blank restart, a single-mutation fallback).
+A branch only proposes: it returns its ``(slot, Hypothesis, rewrite)``
+slots, or None after logging why it has none.  ``step_round`` alone marks
+such a round skipped, verifies the slots and logs the branch's verdict from
+``VERDICT_LOGS``.  ``_verify`` scores every rewrite on the items in one
+evaluator dispatch; its gain is its correct count minus the parent's
+(summed once per round), the strictly best gain wins (ties go to the lowest
+slot), and the winner is scored on the full validation set.  The journal
+names the minibatch by item id.  Deciding changes no run state.
+``OptimizationRun._apply`` then commits the ``RoundOutcome``; it is the only
+method that changes the candidates, the pool, the best candidate, the
+trace, the ledger and the outcome list, so a round that raises leaves all
+six as they were.
 
 Budget semantics: a round charges what the evaluator metered while it was
 decided, so the ledger equals the charged counter by construction.  When no
@@ -53,7 +54,6 @@ from .agents import (
 from .artifacts import json_line, json_text, write_atomic
 from .backends.base import Backend, GenerationRequest
 from .domain import (
-    BLANK_LABEL,
     H_BLANK,
     UNLABELED,
     Hypothesis,
@@ -79,6 +79,18 @@ BRANCH_SKIPPED = "skipped"
 NO_FAILURES_LOG = "No failed samples found. Falling back to single mutation."
 NO_WINNER_LOG = "No multi-hypothesis candidate improved over parent. No proposal returned."
 RESTART_NO_IMPROVEMENT_LOG = "Random restart completed with no improvement. No proposal returned."
+# Each branch's verdict lines, with and without a winner, formatted with the
+# winner's record and the parent's and the first proposal's correct counts.
+VERDICT_LOGS = {
+    (BRANCH_HYPOTHESES, True): ["Selected slot {winner.slot} [{winner.label}]. Candidate accepted."],
+    (BRANCH_HYPOTHESES, False): [NO_WINNER_LOG],
+    (BRANCH_RESTART, True): ["Random restart accepted."],
+    (BRANCH_RESTART, False): [RESTART_NO_IMPROVEMENT_LOG,
+                              "Validation: old_sum={parent:.4f}, new_sum={first:.4f}, improved=False."],
+    (BRANCH_FALLBACK, True): ["Single-mutation candidate accepted."],
+    (BRANCH_FALLBACK, False): ["Candidate subsample score {first:.1f} is not better than old score "
+                               "{parent:.1f}, skipping."],
+}
 
 # Directive handed to the reflection agent when no failure cases exist (or
 # in baseline mode, which never attributes a root cause).
@@ -229,8 +241,8 @@ class OptimizationRun:
             self.backend.generate(self._reflection_request(parent_text, hypothesis, failure_block)))
 
     def _verify(self, outcome: RoundOutcome, items: list[TaskItem], parent_correct: int,
-                slots: list[tuple[int, str, str, str]]) -> ProposalRecord | None:
-        """Score every ``(slot, label, origin, text)`` rewrite on the round's
+                slots: list[tuple[int, Hypothesis, str]]) -> ProposalRecord | None:
+        """Score every ``(slot, hypothesis, text)`` rewrite on the round's
         minibatch ``items``, take the strictly best gain over the parent's
         ``parent_correct`` as the winner (so a single proposal wins iff its
         gain is positive) and score it on the full validation set.  Writes
@@ -239,10 +251,10 @@ class OptimizationRun:
         results = self.evaluator.evaluate(outcome.texts, items, charged=True)
         first_id = len(self.candidates)
         winner: ProposalRecord | None = None
-        for i, ((slot, label, origin, _), records) in enumerate(zip(slots, results)):
+        for i, ((slot, hyp, _), records) in enumerate(zip(slots, results)):
             correct = sum(r.score for r in records)
             record = ProposalRecord(
-                slot=slot, label=label, origin=origin, candidate_id=first_id + i,
+                slot=slot, label=hyp.label, origin=hyp.origin, candidate_id=first_id + i,
                 delta_minibatch=correct - parent_correct, correct_count=correct)
             outcome.proposals.append(record)
             if record.delta_minibatch > (winner.delta_minibatch if winner else 0):
@@ -328,20 +340,13 @@ class OptimizationRun:
                 self._write_snapshots()
         if journal is not None:
             write_atomic(self.out_dir / "best_prompt.txt", self.best.text)
-        return RunResult(
-            best=self.best,
-            pool=self.pool,
-            trace=self.trace,
-            ledger=self.ledger,
-            outcomes=self.outcomes,
-            candidates=self.candidates,
-            evaluator=self.evaluator,
-            resolved_config=self.resolved_config,
-        )
+        return RunResult(self.best, self.pool, self.trace, self.ledger, self.outcomes,
+                         self.candidates, self.evaluator, self.resolved_config)
 
     def step_round(self, iteration: int) -> RoundOutcome:
-        """Decide one round without changing run state.  The round charges
-        exactly what the evaluator metered while deciding it."""
+        """Decide one round without changing run state: one branch proposes,
+        and a round without proposals is skipped.  The round charges exactly
+        what the evaluator metered while deciding it."""
         metered = self.evaluator.metric_calls
         parent_id = self.pool.select_parent(self.rng_parent)
         parent = self.candidates[parent_id]
@@ -353,39 +358,43 @@ class OptimizationRun:
         outcome = RoundOutcome(iteration=iteration, branch=BRANCH_FALLBACK,
                                parent_id=parent.id, minibatch=tuple(item.id for item in items))
 
-        if self.config.mode != "baseline" and self.rng_branch.random() < self.config.p:
-            self._restart_round(outcome, parent, items, parent_correct)
+        vista = self.config.mode != "baseline"
+        if vista and self.rng_branch.random() < self.config.p:
+            outcome.branch = BRANCH_RESTART
+            slots = self._restart_round(outcome, parent)
         else:
             # One failure block per round, shown to every agent of the round.
             failures = collect_failures(items, records)
             failure_block = format_failures(failures)
-            if self.config.mode == "baseline":
-                self._fallback_round(outcome, parent, items, parent_correct, failure_block)
-            elif failures:
-                self._hypothesis_round(outcome, parent, items, parent_correct, failure_block)
+            if vista and failures:
+                outcome.branch = BRANCH_HYPOTHESES
+                slots = self._hypothesis_round(outcome, parent, failure_block)
             else:
-                outcome.log.append(NO_FAILURES_LOG)
-                self._fallback_round(outcome, parent, items, parent_correct, failure_block)
+                if vista:
+                    outcome.log.append(NO_FAILURES_LOG)
+                slots = self._fallback_round(outcome, parent, failure_block)
+        if slots is None:
+            outcome.branch = BRANCH_SKIPPED
+        else:
+            winner = self._verify(outcome, items, parent_correct, slots)
+            first = outcome.proposals[0].correct_count if outcome.proposals else None
+            outcome.log.extend(line.format(winner=winner, parent=parent_correct, first=first)
+                               for line in VERDICT_LOGS[outcome.branch, winner is not None])
         outcome.charge = self.evaluator.metric_calls - metered
         return outcome
 
-    # --------------------------------------------------- hypothesis branch
+    # ------------------------------------------------------------ branches
 
     def _hypothesis_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                          items: list[TaskItem], parent_correct: int, failure_block: str) -> None:
+                          failure_block: str) -> list[tuple[int, Hypothesis, str]] | None:
         cfg = self.config
-        outcome.branch = BRANCH_HYPOTHESES
         origins = ["free" if self.rng_slots.random() < cfg.epsilon else "heuristic"
                    for _ in range(cfg.K)]
         prompt = render_hypothesis_prompt(
             self.hypothesis_template, parent.text, self.taxonomy_block, failure_block,
             cfg.K, self.trace.trajectory(parent.id))
-        request = GenerationRequest(
-            role="hypothesis_agent",
-            messages=(("user", prompt),),
-            extras={"slot_origins": tuple(origins)},
-        )
-        hypotheses = None
+        request = GenerationRequest(role="hypothesis_agent", messages=(("user", prompt),),
+                                    extras={"slot_origins": tuple(origins)})
         for attempt in range(2):
             response = self.backend.generate(request)
             try:
@@ -395,11 +404,10 @@ class OptimizationRun:
             except NoBlocksFoundError:
                 if attempt == 0:
                     outcome.log.append("Hypothesis agent response had no blocks; retrying once.")
-        if hypotheses is None:
+        else:
             # Only the generation calls were spent; nothing was metered.
-            outcome.branch = BRANCH_SKIPPED
             outcome.log.append("Hypothesis agent returned no parseable blocks. Round skipped.")
-            return
+            return None
         if malformed:
             outcome.log.append(f"{malformed} malformed hypothesis block(s) dropped.")
 
@@ -409,88 +417,50 @@ class OptimizationRun:
             self.backend,
             [self._reflection_request(parent.text, hyp, failure_block) for hyp in hypotheses],
             cfg.max_parallel)
-        slots: list[tuple[int, str, str, str]] = []
+        slots = []
         for slot, (hyp, response) in enumerate(zip(hypotheses, responses)):
             try:
-                rewrite = extract_rewritten_prompt(response)
+                slots.append((slot, hyp, extract_rewritten_prompt(response)))
             except EmptyRewriteError:
                 outcome.log.append(f"Slot {slot} produced an empty rewrite; slot dropped.")
-                continue
-            slots.append((slot, hyp.label, hyp.origin, rewrite))
+        return slots
 
-        winner = self._verify(outcome, items, parent_correct, slots)
-        if winner is None:
-            outcome.log.append(NO_WINNER_LOG)
-        else:
-            outcome.log.append(f"Selected slot {winner.slot} [{winner.label}]. Candidate accepted.")
-
-    # ------------------------------------------------------ restart branch
-
-    def _restart_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                       items: list[TaskItem], parent_correct: int) -> None:
-        cfg = self.config
-        outcome.branch = BRANCH_RESTART
-        if cfg.restart_lookahead_cap == 0:
-            outcome.branch = BRANCH_SKIPPED
+    def _restart_round(self, outcome: RoundOutcome,
+                       parent: PromptCandidate) -> list[tuple[int, Hypothesis, str]] | None:
+        cap = self.config.restart_lookahead_cap
+        if cap == 0:
             outcome.log.append("Restart look-ahead cap is 0; branch skipped.")
-            return
-
+            return None
         # Look-ahead: probe the parent's prompt on one training item; the
         # reflection agent, shown a blank prompt and only the raw output and
         # parse error, writes the prompt the next probe runs, until a probe
         # parses cleanly.  Only the first probe is metered; the loop length is logged.
         current = parent.text
-        restart_text: str | None = None
-        clean = False
-        for step in range(cfg.restart_lookahead_cap):
+        for step in range(cap):
             item = self.rng_lookahead.choice(self.dataset.train)
             ((record,),) = self.evaluator.evaluate([current], [item], charged=(step == 0))
             outcome.lookahead_steps += 1
             try:
-                restart_text = self._reflect(
+                current = self._reflect(
                     "", H_BLANK, format_failures([(item, record)], include_task_fields=False))
             except EmptyRewriteError:
-                restart_text = None
-                break
-            current = restart_text
+                outcome.log.append(
+                    f"Restart reflection returned an empty rewrite at look-ahead step {step + 1}; "
+                    "round skipped.")
+                return None
             if record.parse_error is None:
-                clean = True
-                break
-        if restart_text is None or not clean:
-            outcome.branch = BRANCH_SKIPPED
-            outcome.log.append(
-                f"Restart look-ahead did not converge within {cfg.restart_lookahead_cap} steps; round skipped.")
-            return
-
-        winner = self._verify(outcome, items, parent_correct,
-                              [(0, BLANK_LABEL, "blank", restart_text)])
-        if winner is not None:
-            outcome.log.append("Random restart accepted.")
-        else:
-            outcome.log.append(RESTART_NO_IMPROVEMENT_LOG)
-            outcome.log.append(
-                f"Validation: old_sum={float(parent_correct):.4f}, "
-                f"new_sum={float(outcome.proposals[0].correct_count):.4f}, improved=False.")
-
-    # ----------------------------------------------------- fallback branch
+                return [(0, H_BLANK, current)]
+        outcome.log.append(f"Restart look-ahead did not converge within {cap} steps; round skipped.")
+        return None
 
     def _fallback_round(self, outcome: RoundOutcome, parent: PromptCandidate,
-                        items: list[TaskItem], parent_correct: int, failure_block: str) -> None:
-        outcome.branch = BRANCH_FALLBACK
+                        failure_block: str) -> list[tuple[int, Hypothesis, str]] | None:
         try:
-            text = self._reflect(parent.text, FALLBACK_DIRECTIVE, failure_block)
+            return [(0, FALLBACK_DIRECTIVE,
+                     self._reflect(parent.text, FALLBACK_DIRECTIVE, failure_block))]
         except EmptyRewriteError:
-            outcome.branch = BRANCH_SKIPPED
             outcome.log.append("Fallback mutation produced an empty rewrite. Round skipped.")
-            return
-
-        winner = self._verify(outcome, items, parent_correct, [(0, UNLABELED, "fallback", text)])
-        if winner is not None:
-            outcome.log.append("Single-mutation candidate accepted.")
-        else:
-            outcome.log.append(
-                f"Candidate subsample score {float(outcome.proposals[0].correct_count):.1f} "
-                f"is not better than old score {float(parent_correct):.1f}, skipping.")
+            return None
 
     # ---------------------------------------------------------- artifacts
 
@@ -516,14 +486,5 @@ def run(
 ) -> RunResult:
     """Execute rounds until the budget is exhausted and return the best
     candidate, pool, trace, ledger, and per-round outcomes."""
-    engine = OptimizationRun(
-        config=config,
-        dataset=dataset,
-        taxonomy=taxonomy,
-        backend=backend,
-        seed_prompt=seed_prompt,
-        out_dir=out_dir,
-        resolved_config=resolved_config,
-        template_paths=template_paths,
-    )
-    return engine.run()
+    return OptimizationRun(config, dataset, taxonomy, backend, seed_prompt, out_dir,
+                           resolved_config, template_paths).run()

@@ -25,9 +25,15 @@ REJECTED = "rejected"
 @dataclass(frozen=True)
 class TraceNode:
     id: int
-    val_accuracy: float | None = None
-    correct_count: int | None = None
-    minibatch_size: int | None = None
+    val_accuracy: Annotated[float, Range(minimum=0, maximum=1)] | None = None
+    correct_count: Annotated[int, Range(minimum=0)] | None = None
+    minibatch_size: Annotated[int, Range(minimum=0)] | None = None
+
+    def __post_init__(self):
+        if None not in (self.correct_count, self.minibatch_size) and (
+                self.correct_count > self.minibatch_size):
+            raise ValueError(f"correct_count {self.correct_count} exceeds "
+                             f"minibatch_size {self.minibatch_size}")
 
     def display_accuracy(self) -> str:
         if self.val_accuracy is not None:
@@ -72,7 +78,8 @@ class SemanticTraceTree:
         return tree
 
     def record_proposal(self, edge: TraceEdge, node: TraceNode) -> None:
-        """Append one proposal; the target node is created by the edge."""
+        """Append one proposal; the target node is created by the edge, and
+        has a ``val_accuracy`` iff the edge is accepted (only winners are gated)."""
         if node.id != edge.to_id:
             raise ValueError("edge target and node id disagree")
         if edge.to_id in self.nodes:
@@ -84,6 +91,8 @@ class SemanticTraceTree:
             if incoming is not None and incoming.status == REJECTED:
                 raise UnknownParentError(
                     f"parent {edge.from_id} is a rejected leaf")
+        if (edge.status == ACCEPTED) != (node.val_accuracy is not None):
+            raise ValueError("a target has a val_accuracy iff its edge is accepted")
         self.nodes[node.id] = node
         self.edges.append(edge)
         self._incoming.setdefault(edge.to_id, edge)

@@ -301,7 +301,10 @@ MALFORMED_RUN_FILES = [
     ("report", "ledger.json", first_record("charges", "amount", -50)),
     ("report", "ledger.json", top_level("remaining", 12345)),
     *[(command, "trace.json", edit) for command in ("report", "export-trace")
-      for edit in (first_record("edges", "from", 12345), first_accepted_edge("delta_val_pp", "x"))],
+      for edit in (first_record("edges", "from", 12345), first_accepted_edge("delta_val_pp", "x"),
+                   first_target("correct_count", 99, rejected=True),
+                   first_target("val_accuracy", 5.0, rejected=True),
+                   first_target("val_accuracy", 0.5, rejected=True))],
 ]
 
 

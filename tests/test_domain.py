@@ -1,12 +1,15 @@
 import json
 import sys
+from dataclasses import dataclass, fields
 from importlib import resources
+from typing import Annotated, get_type_hints
 
 import pytest
 import yaml
 
 from vistaopt.domain import (
     PromptCandidate,
+    Range,
     RunConfig,
     TaskDataset,
     TaskItem,
@@ -15,8 +18,10 @@ from vistaopt.domain import (
     load_dataset,
     load_taxonomy,
     load_taxonomy_path,
+    read_record,
     validate_config,
 )
+from vistaopt.domain import _violation
 from vistaopt.errors import (
     DuplicateIdError,
     EmptyTaxonomyError,
@@ -184,6 +189,31 @@ def test_check_config_lists_every_violation(config, where, target, violations):
     with pytest.raises(InvalidConfigError) as excinfo:
         check_config(config, [(where, target)])
     assert excinfo.value.violations == violations
+
+
+@dataclass(frozen=True)
+class Sighted:
+    count: Annotated[int, Range(minimum=0)] | None
+    status: Annotated[str, Range(enum=("a", "b"))]
+    name: str
+    flag: bool
+    share: Annotated[float, Range(minimum=0, maximum=1)] | None
+
+
+def test_read_record_accepts_on_sight_only_what_the_annotation_allows():
+    """The reader's on-sight shortcut (types, enum strings, an int's minimum)
+    agrees with ``_violation`` on every value."""
+    hints = get_type_hints(Sighted, include_extras=True)
+    valid = {"count": 0, "status": "a", "name": "n", "flag": False, "share": None}
+    for field in fields(Sighted):
+        for value in (0, 5, -1, True, False, 0.5, 1.0, 2.0, "a", "b", "c", None, [], {}):
+            allowed = _violation(hints[field.name], value) is None
+            try:
+                read = read_record(Sighted, {**valid, field.name: value})
+            except (TypeError, ValueError):
+                read = None
+            assert (read is not None) == allowed, (field.name, value)
+            assert read is None or getattr(read, field.name) is value
 
 
 def test_run_config_round_trip():

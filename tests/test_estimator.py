@@ -36,6 +36,11 @@ def test_every_run_config_field_is_an_estimator_parameter(monkeypatch):
     assert excinfo.value.args[0] != RunConfig()
 
 
+def test_estimator_defaults_are_the_run_configs():
+    params = PromptOptimizer().get_params()
+    assert RunConfig(**{f.name: params[f.name] for f in fields(RunConfig)}) == RunConfig()
+
+
 def test_repr_names_every_run_config_field():
     opt = PromptOptimizer(max_parallel=2, restart_lookahead_cap=1)
     shown = repr(opt)

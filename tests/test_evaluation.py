@@ -5,7 +5,7 @@ import pytest
 
 from vistaopt import optimizer
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig
-from vistaopt.domain import UNLABELED, RunConfig
+from vistaopt.domain import RunConfig
 from vistaopt.evaluation import (
     EvaluationRecord,
     Evaluator,
@@ -15,7 +15,7 @@ from vistaopt.evaluation import (
     normalize_answer,
     score_output,
 )
-from vistaopt.optimizer import BRANCH_FALLBACK, OptimizationRun, RoundOutcome
+from vistaopt.optimizer import BRANCH_FALLBACK, FALLBACK_DIRECTIVE, OptimizationRun, RoundOutcome
 from vistaopt.optimizer import run as optimizer_run
 
 
@@ -176,7 +176,7 @@ def verify_rows(engine, items, parent_correct, rows):
     engine.evaluator.evaluate = evaluate
     outcome = RoundOutcome(iteration=1, branch=BRANCH_FALLBACK, parent_id=0,
                            minibatch=tuple(item.id for item in items))
-    slots = [(k, UNLABELED, "fallback", str(k)) for k in range(len(rows))]
+    slots = [(k, FALLBACK_DIRECTIVE, str(k)) for k in range(len(rows))]
     engine._verify(outcome, items, parent_correct, slots)
     return outcome.proposals
 

@@ -3,6 +3,7 @@ import random
 import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from vistaopt import agents, optimizer
 from vistaopt.artifacts import json_line, json_text
 from vistaopt.backends.base import RoleRouter
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
-from vistaopt.domain import UNLABELED, RunConfig, default_taxonomy, record_dict
+from vistaopt.domain import RunConfig, default_taxonomy, record_dict
 from vistaopt.errors import TransportFailureError
 from vistaopt.evaluation import Evaluator
 from vistaopt.optimizer import (
@@ -20,6 +21,7 @@ from vistaopt.optimizer import (
     BRANCH_HYPOTHESES,
     BRANCH_RESTART,
     BRANCH_SKIPPED,
+    FALLBACK_DIRECTIVE,
     MAX_STALLED_ROUNDS,
     OptimizationRun,
     run,
@@ -356,7 +358,7 @@ def test_pool_and_best_gates_are_independent(small_dataset):
         outcome = RoundOutcome(iteration=1, branch=BRANCH_FALLBACK, parent_id=0,
                                minibatch=tuple(item.id for item in items))
         engine._verify(outcome, items, sum(r.score for r in baseline),
-                       [(0, UNLABELED, "fallback", f"{marker} prompt")])
+                       [(0, FALLBACK_DIRECTIVE, f"{marker} prompt")])
         engine._apply(outcome)
         return outcome, engine.candidates[outcome.winner]
 
@@ -696,6 +698,52 @@ def test_restart_lookahead_cap_reached_charges_single_probe(small_dataset):
     assert first.lookahead_steps == 3
     assert first.charge == 1  # only the first probe is metered
     assert result.evaluator.metric_calls >= 1
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_restart_empty_rewrite_logs_its_step(small_dataset, cap):
+    # The first blank reflection is empty: the round is skipped at step 1,
+    # whatever the cap, and the log says why.
+    backend = BrokenAgentBackend(small_dataset, reflection_text="   \n  ")
+    config = RunConfig(K=3, p=1.0, epsilon=0.0, b=10, budget=5, rng_seed=0,
+                       mode="vista", max_parallel=1, restart_lookahead_cap=cap)
+    result = run(config, small_dataset, default_taxonomy(), backend, "seed prompt skill:0.30")
+    first = result.outcomes[0]
+    assert first.branch == BRANCH_SKIPPED and first.lookahead_steps == 1
+    assert first.charge == 1 and first.proposals == []  # only the probe is metered
+    assert first.log == [
+        "Restart reflection returned an empty rewrite at look-ahead step 1; round skipped."]
+
+
+# One run per row of the skip table in ``docs/cli.md``, in its order:
+# (BrokenAgentBackend overrides, run settings, seed prompt).
+SKIP_CAUSES = [
+    (dict(hypothesis_text="no blocks at all"), dict(p=0.0), "seed prompt skill:0.30"),
+    ({}, dict(p=1.0, restart_lookahead_cap=0), "seed prompt skill:0.30"),
+    (dict(reflection_text="freeform prompt with no schema"),
+     dict(p=1.0, restart_lookahead_cap=3), "unstructured seed without a marker"),
+    (dict(reflection_text="   \n  "), dict(p=1.0), "seed prompt skill:0.30"),
+    (dict(reflection_text="```\n```"), dict(mode="baseline"), "seed prompt skill:0.30"),
+]
+
+
+def test_docs_give_each_skip_reason(small_dataset):
+    """Each cause in the docs' skip table, provoked, ends the log of a
+    skipped round with the line the table gives (N and k stand for numbers)."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "cli.md").read_text(encoding="utf-8")
+    table = doc.split("| cause | last `log` line |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = [re.search(r"`([^`]*)`", row.split("|")[2]).group(1)
+                  for row in table.splitlines()]
+    assert len(documented) == len(SKIP_CAUSES)
+    for line, (overrides, settings, seed_prompt) in zip(documented, SKIP_CAUSES):
+        config = RunConfig(**{**dict(K=3, epsilon=0.0, b=10, budget=5, rng_seed=0,
+                                     max_parallel=1), **settings})
+        result = run(config, small_dataset, default_taxonomy(),
+                     BrokenAgentBackend(small_dataset, **overrides), seed_prompt)
+        first = result.outcomes[0]
+        assert first.branch == BRANCH_SKIPPED and first.proposals == []
+        pattern = r"\d+".join(map(re.escape, re.split(r"\b[Nk]\b", line)))
+        assert re.fullmatch(pattern, first.log[-1]), (line, first.log)
 
 
 def test_fallback_empty_rewrite_skips(small_dataset):

@@ -50,6 +50,22 @@ def test_record_rejected_leaf_stays_leaf():
         tree.record_proposal(edge(1, 2, "reasoning_strategy"), node(2, val=0.5))
 
 
+def test_record_needs_val_accuracy_exactly_on_accepted_targets():
+    tree = seed_tree()
+    with pytest.raises(ValueError, match="val_accuracy iff its edge is accepted"):
+        tree.record_proposal(edge(0, 1, "cot_field_ordering"), node(1, correct=2))
+    with pytest.raises(ValueError, match="val_accuracy iff its edge is accepted"):
+        tree.record_proposal(edge(0, 1, "cot_field_ordering", status=REJECTED),
+                             node(1, val=0.5, correct=2))
+    assert tree.edges == [] and list(tree.nodes) == [0]
+
+
+def test_node_correct_count_at_most_minibatch_size():
+    assert node(1, correct=8).display_accuracy() == "8/8"
+    with pytest.raises(ValueError, match="correct_count 9 exceeds minibatch_size 8"):
+        node(1, correct=9)
+
+
 def test_record_duplicate_node():
     tree = seed_tree()
     tree.record_proposal(edge(0, 1, "cot_field_ordering"), node(1, val=0.78))
@@ -267,6 +283,10 @@ def edit_edge(index, **change):
     return lambda data: data["edges"][index].update(change)
 
 
+def edit_node(index, **change):
+    return lambda data: data["nodes"][index].update(change)
+
+
 def add_node_from_rejected(data):
     data["nodes"].append({**data["nodes"][1], "id": 3})
     data["edges"].append({**data["edges"][0], "from": 2, "to": 3, "iteration": 3})
@@ -298,6 +318,15 @@ BROKEN_TRACES = {
                              r"created by no edge: \[9\]"),
     "node listed twice": (lambda data: data["nodes"].append(data["nodes"][1]),
                           r"listed twice"),
+    # Node values that no run writes.
+    "correct_count over minibatch_size": (edit_node(2, correct_count=99),
+                                          r"correct_count 99 exceeds minibatch_size 8"),
+    "negative correct_count": (edit_node(2, correct_count=-1), r"correct_count -1 is not >= 0"),
+    "val_accuracy over 1": (edit_node(1, val_accuracy=5.0), r"val_accuracy 5.0 is not <= 1"),
+    "val_accuracy on a rejected target": (edit_node(2, val_accuracy=0.5),
+                                          r"edge 1: ValueError: a target has a val_accuracy iff"),
+    "accepted target without val_accuracy": (edit_node(1, val_accuracy=None),
+                                             r"edge 0: ValueError: a target has a val_accuracy"),
 }
 
 

@@ -32,7 +32,7 @@ from .errors import (
     VistaError,
 )
 from .optimizer import run
-from .reports import build_report, load_trace, read_artifact, write_report
+from .reports import build_report, read_artifact, read_run, write_report
 from .trace import export_tree
 
 EXIT_OK = 0
@@ -121,7 +121,7 @@ def cmd_optimize(config_path: str, seed_prompt_path: str, out_dir: str,
 
 def cmd_export_trace(run_dir: str, fmt: str = "dot") -> None:
     out_path = Path(run_dir) / f"trace.{fmt}"
-    write_atomic(out_path, export_tree(load_trace(run_dir), fmt))
+    write_atomic(out_path, export_tree(read_run(run_dir)[0], fmt))
     print(f"wrote {out_path}")
 
 

@@ -17,7 +17,7 @@ names the minibatch by item id.  Deciding changes no run state.
 ``OptimizationRun._apply`` then commits the ``RoundOutcome``; it is the only
 method that changes the candidates, the pool, the best candidate, the
 trace, the ledger and the outcome list, so a round that raises leaves all
-six as they were.
+six as they were; ``fold_round`` adds its trace edges, nodes and charge.
 
 Budget semantics: a round charges what the evaluator metered while it was
 decided, so the ledger equals the charged counter by construction.  When no
@@ -31,7 +31,8 @@ round's line of the journal ``rounds.jsonl`` just before it is applied.
 The state snapshots (``trace.*``, ``pool.json``, ``ledger.json``) are
 written once, when the loop ends or when a round raises, so they and the
 journal then hold the rounds before it; ``best_prompt.txt`` only on
-success.  ``artifacts`` defines how each file is written.
+success.  ``artifacts`` defines how each file is written.  ``report`` and
+``export-trace`` fold the journal as ``_apply`` does, and check the snapshots.
 """
 
 from __future__ import annotations
@@ -163,6 +164,26 @@ class RoundOutcome:
                                                       metadata={"json": None})
 
 
+def fold_round(trace: SemanticTraceTree, ledger: BudgetLedger, outcome: RoundOutcome,
+               winner_accuracy: float | None) -> None:
+    """Fold one journaled round into ``trace`` and ``ledger``: an edge and a
+    node per proposal (a restart's starts a new root), then the charge.  The
+    journal lacks ``winner_accuracy``, the winner's validation accuracy."""
+    gain = (None if winner_accuracy is None else
+            round((winner_accuracy - trace.nodes[outcome.parent_id].val_accuracy) * 100, 6))
+    from_id = None if outcome.branch == BRANCH_RESTART else outcome.parent_id
+    for record in outcome.proposals:
+        accepted = record.candidate_id == outcome.winner
+        trace.record_proposal(
+            TraceEdge(from_id=from_id, to_id=record.candidate_id, label=record.label,
+                      delta_minibatch=record.delta_minibatch,
+                      status=ACCEPTED if accepted else REJECTED, iteration=outcome.iteration,
+                      origin=record.origin, delta_val_pp=gain if accepted else None),
+            TraceNode(id=record.candidate_id, val_accuracy=winner_accuracy if accepted else None,
+                      correct_count=record.correct_count, minibatch_size=len(outcome.minibatch)))
+    ledger.add(outcome.iteration, outcome.branch, outcome.charge)
+
+
 @dataclass
 class RunResult:
     best: PromptCandidate
@@ -272,41 +293,20 @@ class OptimizationRun:
 
     def _apply(self, outcome: RoundOutcome) -> None:
         """Commit a decided round: the only place that changes the candidates,
-        the pool, the best candidate, the trace, the ledger and the outcomes.
-        ``_verify`` decided the winner's two independent gates: pool admission,
-        and a strict best-so-far update.  A restart's proposal starts a new root."""
-        parent = self.candidates[outcome.parent_id]
-        from_id = None if outcome.branch == BRANCH_RESTART else parent.id
+        the pool, the best candidate, the trace and the ledger (by ``fold_round``)
+        and the outcomes.  ``_verify`` decided the winner's two independent gates:
+        pool admission, and a strict best-so-far update."""
         for record, text in zip(outcome.proposals, outcome.texts):
             candidate = PromptCandidate(id=record.candidate_id, text=text)
-            accepted = candidate.id == outcome.winner
-            if accepted:
+            if candidate.id == outcome.winner:
                 candidate = candidate.with_val_scores(outcome.winner_val_scores)
                 if outcome.pool_accepted:
                     self.pool.try_insert(candidate.id, candidate.val_scores)
                 if outcome.best_updated:
                     self.best = candidate
             self.candidates[candidate.id] = candidate
-            self.trace.record_proposal(
-                TraceEdge(
-                    from_id=from_id,
-                    to_id=candidate.id,
-                    label=record.label,
-                    delta_minibatch=record.delta_minibatch,
-                    status=ACCEPTED if accepted else REJECTED,
-                    iteration=outcome.iteration,
-                    origin=record.origin,
-                    delta_val_pp=(round((candidate.val_accuracy - parent.val_accuracy) * 100, 6)
-                                  if accepted else None),
-                ),
-                TraceNode(
-                    id=candidate.id,
-                    val_accuracy=candidate.val_accuracy,
-                    correct_count=record.correct_count,
-                    minibatch_size=len(outcome.minibatch),
-                ),
-            )
-        self.ledger.add(outcome.iteration, outcome.branch, outcome.charge)
+        fold_round(self.trace, self.ledger, outcome, None if outcome.winner is None
+                   else self.candidates[outcome.winner].val_accuracy)
         self.outcomes.append(outcome)
 
     # ------------------------------------------------------------- rounds

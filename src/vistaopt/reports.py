@@ -1,6 +1,6 @@
-"""Plot-ready report data derived from a completed run directory: the
-best-score-to-date curve, the attribution histogram, and oscillation
-events."""
+"""A run directory read back through the fold of its journal, and the
+plot-ready data derived from it: the best-score-to-date curve, the
+attribution histogram, and oscillation events."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from typing import Callable, TypeVar
 
 from .artifacts import json_text, write_atomic
 from .domain import Taxonomy, read_record
-from .errors import MissingArtifactsError
-from .optimizer import BudgetLedger, Charge, RoundOutcome
+from .errors import MissingArtifactsError, VistaError
+from .optimizer import BudgetLedger, RoundOutcome, fold_round
 from .trace import ACCEPTED, SemanticTraceTree, detect_oscillation, import_tree
 
 T = TypeVar("T")
@@ -45,49 +45,50 @@ def read_artifact(run_dir: str | Path, name: str, parse: Callable[[str], T]) -> 
             f"{name} in {run_dir} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
-def load_trace(run_dir: str | Path) -> SemanticTraceTree:
-    return read_artifact(run_dir, "trace.json", import_tree)
-
-
-def build_best_curve(run_dir: Path, trace: SemanticTraceTree) -> list[tuple[int, float]]:
-    """The curve from the run's journal, whose rounds' (iteration, branch,
-    charge) must be the ledger's charges in order, and from ``trace``, its
-    parsed ``trace.json``.  The ledger's ``remaining`` must be its
-    ``initial`` minus those charges."""
+def read_run(run_dir: str | Path) -> tuple[SemanticTraceTree, list[tuple[int, float]]]:
+    """The tree of ``trace.json`` and the best curve, from a fold of
+    ``rounds.jsonl`` that takes each winner's ``val_accuracy`` from the tree.
+    Each round's verdict fields must follow from its proposals, and the
+    fold's edges, nodes, charges and ``remaining`` must be the snapshots'."""
+    trace = read_artifact(run_dir, "trace.json", import_tree)
     ledger = read_artifact(run_dir, "ledger.json",
                            lambda text: read_record(BudgetLedger, json.loads(text)))
     # The journal's lines are in iteration order.
     outcomes = read_artifact(run_dir, "rounds.jsonl", lambda text: [
         read_record(RoundOutcome, json.loads(line)) for line in text.splitlines()])
-    rounds = [Charge(o.iteration, o.branch, o.charge) for o in outcomes]
-    if ledger.charges != rounds:
-        at, charge, journal = next((at, c, r) for at, (c, r) in enumerate(
-            zip(ledger.charges + ["nothing"], rounds + ["nothing"])) if c != r)
-        raise MissingArtifactsError(
-            f"ledger.json in {run_dir} does not match rounds.jsonl: charge number {at + 1} "
-            f"is {charge} in the ledger but {journal} in the journal")
-    spent = sum(c.amount for c in rounds)
-    if ledger.remaining != ledger.initial - spent:
-        raise MissingArtifactsError(
-            f"ledger.json in {run_dir}: remaining {ledger.remaining} is not initial "
-            f"{ledger.initial} minus the {spent} that rounds.jsonl charges")
-
-    seed_accuracy = trace.nodes[trace.root].val_accuracy or 0.0
-    best = seed_accuracy
-    curve = [(0, seed_accuracy)]
-    calls = 0
-    best_by_id = {
-        nid: node.val_accuracy for nid, node in trace.nodes.items()
-        if node.val_accuracy is not None
-    }
+    tree = SemanticTraceTree.with_root(trace.nodes[trace.root])
+    charged = BudgetLedger(initial=ledger.initial, remaining=ledger.initial)
+    best = trace.nodes[trace.root].val_accuracy or 0.0
+    curve = [(0, best)]
     for outcome in outcomes:
-        if outcome.charge == 0:
-            continue
-        calls += outcome.charge
-        if outcome.best_updated and outcome.winner is not None:
-            best = max(best, best_by_id.get(outcome.winner, best))
-        curve.append((calls, best))
-    return curve
+        winner = next((p for p in outcome.proposals if p.candidate_id == outcome.winner), None)
+        accuracy = getattr(trace.nodes.get(outcome.winner), "val_accuracy", None)
+        try:
+            for key, expected in (("winner", winner and winner.candidate_id),
+                                  ("winner_label", winner and winner.label),
+                                  ("pool_accepted", outcome.pool_accepted and winner is not None),
+                                  ("best_updated", winner is not None and (accuracy or 0) > best)):
+                if getattr(outcome, key) != expected:
+                    raise ValueError(f"{key} is {getattr(outcome, key)!r}, not {expected!r}")
+            fold_round(tree, charged, outcome, accuracy)
+        except (LookupError, TypeError, ValueError, VistaError) as exc:
+            raise MissingArtifactsError(
+                f"rounds.jsonl in {run_dir} does not fold onto trace.json: round "
+                f"{outcome.iteration}: {type(exc).__name__}: {exc}") from exc
+        best = accuracy if outcome.best_updated else best
+        if outcome.charge:
+            curve.append((curve[-1][0] + outcome.charge, best))
+    for name, stored, folded in (
+            ("trace.json", [*trace.edges, *trace.nodes.values()],
+             [*tree.edges, *tree.nodes.values()]),
+            ("ledger.json", [*ledger.charges, f"remaining {ledger.remaining}"],
+             [*charged.charges, f"remaining {charged.remaining}"])):
+        if stored != folded:
+            mine, fold = next((a, b) for a, b in zip(stored + ["nothing"], folded + ["nothing"])
+                              if a != b)
+            raise MissingArtifactsError(f"{name} in {run_dir} does not match the fold of "
+                                        f"rounds.jsonl: {mine} in {name}, {fold} in the fold")
+    return trace, curve
 
 
 def build_attribution_histogram(tree: SemanticTraceTree,
@@ -119,10 +120,9 @@ def find_oscillations(tree: SemanticTraceTree, window: int = 4) -> list[dict]:
 
 
 def build_report(run_dir: str | Path, taxonomy: Taxonomy) -> ReportBundle:
-    run_dir = Path(run_dir)
-    tree = load_trace(run_dir)
+    tree, curve = read_run(run_dir)
     return ReportBundle(
-        best_curve=build_best_curve(run_dir, tree),
+        best_curve=curve,
         attribution_histogram=build_attribution_histogram(tree, taxonomy),
         oscillation_events=find_oscillations(tree),
     )

@@ -276,6 +276,24 @@ def first_accepted_edge(key, value):
     return edit
 
 
+def first_round(key, value, won):
+    """An edit that sets ``key`` to ``value`` in the first round of a
+    ``rounds.jsonl`` that has a winner, or that has proposals but no winner."""
+    def edit(text):
+        rounds = [json.loads(line) for line in text.splitlines()]
+        next(r for r in rounds if r["proposals"] and (r["winner"] is not None) == won)[key] = value
+        return "".join(json.dumps(r) + "\n" for r in rounds)
+    edit.__name__ = f"{'won' if won else 'lost'}-round-{key}={json.dumps(value)}"
+    return edit
+
+
+def rejected_target_drawn_40_of_50(text):
+    """The first rejected target of a ``trace.json`` edited to 40 correct
+    answers on a minibatch of 50, which its round in the journal does not say."""
+    return first_target("minibatch_size", 50, rejected=True)(
+        first_target("correct_count", 40, rejected=True)(text))
+
+
 MALFORMED_RUN_FILES = [
     *[("report", name, content) for name in ("trace.json", "ledger.json", "rounds.jsonl")
       for content in ("{}", "[]", "nope")],
@@ -305,6 +323,17 @@ MALFORMED_RUN_FILES = [
                    first_target("correct_count", 99, rejected=True),
                    first_target("val_accuracy", 5.0, rejected=True),
                    first_target("val_accuracy", 0.5, rejected=True))],
+    # Well-typed files that disagree with the fold of the journal.
+    *[(command, name, edit) for command in ("report", "export-trace")
+      for name, edit in (("trace.json", rejected_target_drawn_40_of_50),
+                         ("rounds.jsonl", first_round("winner_label", "format_and_syntax", True)),
+                         ("rounds.jsonl", first_round("winner", None, True)),
+                         ("rounds.jsonl", first_round("best_updated", False, True)),
+                         ("rounds.jsonl", first_round("best_updated", True, False)),
+                         ("rounds.jsonl", first_round("pool_accepted", True, False)),
+                         ("rounds.jsonl", first_round("winner", 1, False)))],
+    *[("export-trace", "ledger.json", edit)
+      for edit in (first_record("charges", "amount", -50), top_level("remaining", 12345))],
 ]
 
 
@@ -347,10 +376,11 @@ def test_report_rejects_a_ledger_that_is_not_the_journals_charges(name, edit, co
     assert main(["optimize", str(config_file), "defective", str(out), "--seed", "1"]) == EXIT_OK
     (out / name).write_text(edit((out / name).read_text()), encoding="utf-8")
     capsys.readouterr()
-    assert main(["report", str(out)]) == EXIT_MISSING_ARTIFACTS
-    err = capsys.readouterr().err
-    assert err.startswith("missing artifacts:") and "Traceback" not in err
-    assert "ledger.json" in err and "rounds.jsonl" in err
+    for command in ("report", "export-trace"):
+        assert main([command, str(out)]) == EXIT_MISSING_ARTIFACTS
+        err = capsys.readouterr().err
+        assert err.startswith("missing artifacts:") and "Traceback" not in err
+        assert "ledger.json" in err and "rounds.jsonl" in err
     assert not (out / "report.csv").exists()
 
 

@@ -24,8 +24,8 @@ from vistaopt import run
 from vistaopt.artifacts import json_line, json_text
 from vistaopt.backends.synthetic import SyntheticBackend, SyntheticWorldConfig, make_synthetic_dataset
 from vistaopt.domain import RunConfig, default_taxonomy, load_seed_prompt, read_record
-from vistaopt.optimizer import BudgetLedger, ProposalRecord, RoundOutcome
-from vistaopt.trace import export_tree, import_tree
+from vistaopt.optimizer import BudgetLedger, ProposalRecord, RoundOutcome, fold_round
+from vistaopt.trace import SemanticTraceTree, export_tree, import_tree
 
 from test_evaluation import ThreadRecordingBackend
 
@@ -135,6 +135,26 @@ def test_run_files_read_back_to_the_same_bytes(name, tmp_path):
     assert [json_line(o) for o in outcomes] == journal.splitlines(keepends=True)
     assert all(type(o.minibatch) is tuple and all(type(p) is ProposalRecord for p in o.proposals)
                for o in outcomes)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_folding_the_journal_writes_the_snapshots(name, tmp_path):
+    """Folding ``rounds.jsonl`` from the seed's node, with each winner's
+    ``val_accuracy`` from ``trace.json``, gives ``trace.json`` and
+    ``ledger.json`` byte for byte."""
+    golden_run(name, tmp_path)
+    trace, ledger, journal = (
+        (tmp_path / file).read_text(encoding="utf-8")
+        for file in ("trace.json", "ledger.json", "rounds.jsonl"))
+    stored = import_tree(trace)
+    tree = SemanticTraceTree.with_root(stored.nodes[stored.root])
+    folded = BudgetLedger(initial=CONFIGS[name]["budget"], remaining=CONFIGS[name]["budget"])
+    for line in journal.splitlines():
+        outcome = read_record(RoundOutcome, json.loads(line))
+        winner = stored.nodes.get(outcome.winner)
+        fold_round(tree, folded, outcome, winner.val_accuracy if winner else None)
+    assert export_tree(tree, "json") == trace
+    assert json_text(folded) == ledger
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

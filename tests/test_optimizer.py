@@ -26,6 +26,7 @@ from vistaopt.optimizer import (
     OptimizationRun,
     run,
 )
+from vistaopt.reports import read_run
 from vistaopt.trace import import_tree
 
 TAGS = ("cot_field_ordering", "task_instruction_clarity", "reasoning_strategy")
@@ -794,8 +795,7 @@ def test_crash_leaves_state_of_completed_rounds(fail_at, dataset_50, taxonomy, d
 
     ledger = json.loads((out_dir / "ledger.json").read_text(encoding="utf-8"))
     assert ledger == json.loads(json_text(engine.ledger))
-    assert [(c["iteration"], c["branch"], c["amount"]) for c in ledger["charges"]] == [
-        (r["iteration"], r["branch"], r["charge"]) for r in rounds]
+    read_run(out_dir)  # the snapshots are the fold of the journal
 
     assert import_tree((out_dir / "trace.json").read_text(encoding="utf-8")) == engine.trace
     pool = json.loads((out_dir / "pool.json").read_text(encoding="utf-8"))
@@ -830,8 +830,8 @@ def test_failed_journal_write_leaves_journal_and_snapshots_agreeing(dataset_50, 
     journal = (out_dir / "rounds.jsonl").read_text(encoding="utf-8").splitlines()
     charges = json.loads((out_dir / "ledger.json").read_text(encoding="utf-8"))["charges"]
     assert len(charges) == len(journal) == len(engine.outcomes) == 2
-    assert [json.loads(line)["iteration"] for line in journal] == [
-        c["iteration"] for c in charges] == [1, 2]
+    assert [json.loads(line)["iteration"] for line in journal] == [1, 2]
+    read_run(out_dir)  # the snapshots are the fold of the journal
     trace_rounds = {e.iteration for e in import_tree(
         (out_dir / "trace.json").read_text(encoding="utf-8")).edges}
     assert trace_rounds <= {1, 2}

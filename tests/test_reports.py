@@ -11,10 +11,9 @@ from vistaopt.optimizer import run
 from vistaopt.reports import (
     ReportBundle,
     build_attribution_histogram,
-    build_best_curve,
     build_report,
     find_oscillations,
-    load_trace,
+    read_run,
     write_report,
 )
 from vistaopt.trace import SemanticTraceTree, TraceEdge, TraceNode
@@ -108,7 +107,7 @@ def run_dir(tmp_path):
 
 
 def test_best_curve_starts_at_seed_and_tracks_ledger(run_dir):
-    curve = build_best_curve(run_dir, load_trace(run_dir))
+    _, curve = read_run(run_dir)
     assert curve[0] == (0, 0.24)
     ledger = json.loads((run_dir / "ledger.json").read_text())
     assert curve[-1][0] == sum(c["amount"] for c in ledger["charges"])
@@ -149,6 +148,6 @@ def test_build_report_raises_missing_artifacts(missing, run_dir, taxonomy):
         build_report(run_dir, taxonomy)
 
 
-def test_load_trace_missing(tmp_path):
+def test_read_run_missing(tmp_path):
     with pytest.raises(MissingArtifactsError):
-        load_trace(tmp_path)
+        read_run(tmp_path)

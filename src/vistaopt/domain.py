@@ -282,10 +282,16 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", Path: "a s
                bool: "a boolean", NoneType: "null"}
 
 
+@functools.cache
+def _shape(hint) -> tuple:
+    """``(get_origin(hint), get_args(hint))``, resolved once per hint."""
+    return get_origin(hint), get_args(hint)
+
+
 def _violation(hint, value, ranged=True) -> str | None:
     """Why ``value`` lacks the type (or the ranges, if ``ranged``) that ``hint``
     annotates, or None; a bool is only a boolean, a number is finite, nothing is coerced."""
-    origin, args = get_origin(hint), get_args(hint)
+    origin, args = _shape(hint)
     if origin is Annotated:
         return _violation(args[0], value) or next(
             (f"{value!r} is not {_KEYWORDS[key][0]} {bound!r}" for r in args[1:] if ranged
@@ -340,7 +346,7 @@ def _exact(hint) -> dict:
     """What meets ``hint`` on sight, each with the least value it may take
     (None: any): the types int, bool, str and None that it names, the strings
     of an enum of strings, and int where its only Range keyword is a minimum."""
-    origin, args = get_origin(hint), get_args(hint)
+    origin, args = _shape(hint)
     if origin in (Union, UnionType):
         return {sight: low for arm in args for sight, low in _exact(arm).items()}
     if origin is Annotated and args[0] is str and args[1:] == (Range(enum=args[1].enum),):
@@ -360,6 +366,26 @@ def _record_fields(cls) -> tuple:
                  if (key := f.metadata.get("json", f.name)) is not None)
 
 
+JSON_SCALARS = (int, float, str, bool, NoneType)
+
+
+def _scalar(hint) -> bool:
+    """Whether each value that ``hint`` annotates is a JSON scalar."""
+    origin, args = _shape(hint)
+    if origin in (Annotated, Union, UnionType):
+        return all(map(_scalar, args[:1] if origin is Annotated else args))
+    return hint in JSON_SCALARS
+
+
+def flat_fields(cls) -> tuple:
+    """``(key, name)`` of each field that the run file of ``cls`` holds, sorted
+    by key, if ``cls`` is a record dataclass and each is a JSON scalar by its
+    annotation; else empty."""
+    held = _record_fields(cls) if is_dataclass(cls) else ()
+    return tuple(sorted((key, name) for name, key, hint, _ in held)) if all(
+        _scalar(hint) for _, _, hint, _ in held) else ()
+
+
 def record_dict(record) -> dict:
     """The JSON object that ``read_record`` reads ``record`` back from, with
     its arrays as tuples or lists and its records as dataclasses."""
@@ -370,7 +396,7 @@ def _read(hint, value, key: str):
     """``value``, held under ``key``, in the form of a field annotated ``hint``:
     an array as a list or tuple, an object as a record.  A wrong type is a
     TypeError, and a value outside its ``Range`` a ValueError."""
-    origin, args = get_origin(hint), get_args(hint)
+    origin, args = _shape(hint)
     if origin in (list, tuple):  # list[T] or tuple[T, ...]
         if type(value) is not list:
             raise TypeError(f"{key} {value!r} is not an array")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Annotated, Iterable, Sequence
 
 from .artifacts import json_text
-from .domain import Range, read_record, record_dict
+from .domain import Range, read_record
 from .errors import DuplicateNodeError, UnknownNodeError, UnknownParentError
 
 ACCEPTED = "accepted"
@@ -119,13 +119,6 @@ class SemanticTraceTree:
 
     # ------------------------------------------------------------- export
 
-    def to_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "nodes": [record_dict(n) for n in self.nodes.values()],
-            "edges": [record_dict(e) for e in self.edges],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SemanticTraceTree":
         """Rebuild the tree as a run builds it, from the root and then each
@@ -175,7 +168,7 @@ class SemanticTraceTree:
 
 def export_tree(tree: SemanticTraceTree, fmt: str) -> str:
     if fmt == "json":
-        return json_text(tree.to_dict())
+        return json_text({"root": tree.root, "nodes": [*tree.nodes.values()], "edges": tree.edges})
     if fmt == "dot":
         return tree.to_dot()
     raise ValueError(f"unknown export format {fmt!r}")

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 
@@ -338,7 +339,7 @@ def test_import_rejects_what_a_run_cannot_record(case):
     tree.record_proposal(edge(0, 1, "cot_field_ordering", pp=48.0), node(1, val=0.78))
     tree.record_proposal(edge(0, 2, "task_instruction_clarity", status=REJECTED),
                          node(2, correct=2))
-    data = tree.to_dict()
+    data = json.loads(export_tree(tree, "json"))
     assert SemanticTraceTree.from_dict(data) == tree
     edit, message = BROKEN_TRACES[case]
     edit(data)
